@@ -8,8 +8,8 @@ The package evaluates the fundamental solution of
 with a Dzherbashyan-Caputo time derivative of order alpha in (0, 1], by
 several independent analytic routes (time-changed signed kernels, Fourier
 inversion through Mittag-Leffler functions, Wright-function closed forms),
-and checks every route against the others.  Monte Carlo samplers for the
-random-time laws and a finite-difference residual check close the loop.
+and checks every route against the others.  A finite-difference residual
+check closes the loop.
 """
 from __future__ import annotations
 

@@ -1,10 +1,9 @@
 """Adaptive quadrature engines used by the analytic routes.
 
-Four entry points:
+Three entry points:
 
 * :func:`integrate_adaptive` -- globally adaptive Gauss pair on a finite
   interval, for scalar, complex, or vector-valued integrands.
-* :func:`integrate_semi_infinite` -- decay-aware transforms of ``[a, inf)``.
 * :func:`integrate_jacobi_singular` -- Gauss-Jacobi rules for integrands with
   an algebraic endpoint singularity, with node doubling and a hybrid split
   fallback.
@@ -52,14 +51,12 @@ class QuadResult:
     ``value`` is a float for the public scalar entry points; internal callers
     may receive a complex number or an ndarray when the integrand is
     vector-valued.  ``error_estimate`` is an absolute estimate (max-norm for
-    vector integrands).  ``tail_dominated`` is set when the reported error is
-    driven by an analytic tail bound rather than by panel refinement.
+    vector integrands).
     """
 
     value: float
     error_estimate: float
     evaluations: int
-    tail_dominated: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,111 +200,6 @@ def euler_tail_sum(blocks) -> tuple[float, float]:
     tail = np.array(diagonal[-4:])
     err = float(np.max(np.abs(np.diff(tail))))
     return float(diagonal[-1]), err
-
-
-def _probe_decay(f, a: float, budget_counter: list) -> tuple[float, float, float]:
-    """Locate the scale on which ``|f|`` peaks and then becomes negligible.
-
-    Samples geometrically spaced points and returns ``(x_peak, x_far, fmax)``
-    where ``x_far`` is the first sampled point past the peak at which ``|f|``
-    has dropped below ``5e-17 * fmax``.
-    """
-    offsets = 2.0 ** np.arange(-6, 46)
-    xs = a + offsets
-    ys = np.abs(np.asarray(f(xs), dtype=float))
-    budget_counter[0] += xs.size
-    if not np.any(np.isfinite(ys)) or np.all(ys == 0.0):
-        return a + 1.0, a + 2.0, 0.0
-    ys = np.where(np.isfinite(ys), ys, 0.0)
-    ipeak = int(np.argmax(ys))
-    fmax = float(ys[ipeak])
-    cutoff = 5e-17 * fmax
-    for i in range(ipeak + 1, xs.size):
-        if ys[i] <= cutoff:
-            return float(xs[ipeak]), float(xs[i]), fmax
-    return float(xs[ipeak]), float(xs[-1]), fmax
-
-
-def integrate_semi_infinite(f, a: float, decay, tol: float = DEFAULT_TOL, *,
-                            budget: int = EVAL_BUDGET) -> QuadResult:
-    """Integrate ``f`` over ``[a, inf)``.
-
-    ``decay`` declares the tail behaviour and selects the transform:
-
-    * ``"exponential"`` -- the tail dies at least exponentially fast.  The
-      integral is mapped through ``x = a - L*log1p(-s)`` so that the far
-      field is compressed into a neighbourhood of ``s = 1``, with the scale
-      ``L`` chosen from a geometric probe of the integrand.
-    * ``("algebraic", p)`` with ``p > 1`` -- the tail decays like ``x**-p``.
-      The far part is mapped through ``x = c * s**(-1/(p-1))``, which turns a
-      pure power tail into a bounded integrand on ``(0, 1]``, and the
-      remainder beyond the last evaluated abscissa is added as the analytic
-      estimate ``f(X) * X / (p - 1)``.
-
-    The result's ``tail_dominated`` flag is set when that analytic remainder,
-    rather than panel refinement, controls the reported error.
-    """
-    counter = [0]
-    if decay == "exponential":
-        x_peak, x_far, fmax = _probe_decay(f, a, counter)
-        if fmax == 0.0:
-            return QuadResult(0.0, 0.0, counter[0])
-        span = x_far - a
-        scale = span / 36.0
-        s_end = -math.expm1(-span / scale)  # maps back to x_far
-
-        def g(s):
-            s = np.asarray(s)
-            x = a - scale * np.log1p(-s)
-            return np.asarray(f(x)) * (scale / (1.0 - s))
-
-        value, err, evals = _adaptive(g, 0.0, s_end, tol, budget - counter[0])
-        # Beyond x_far the probe saw |f| below 5e-17 * fmax; bound that tail
-        # by one more e-folding worth of area.
-        tail = 5e-17 * fmax * scale * 3.0
-        return QuadResult(value=value, error_estimate=err + tail,
-                          evaluations=evals + counter[0],
-                          tail_dominated=tail > err)
-
-    if isinstance(decay, tuple) and len(decay) == 2 and decay[0] == "algebraic":
-        p = float(decay[1])
-        if p <= 1.0:
-            raise DomainError(f"algebraic decay power {p} must exceed 1")
-        # Head: fixed interval covering any non-asymptotic structure.
-        c = max(abs(a) * 2.0, 1.0) + a if a >= 0 else max(1.0, 2.0 * abs(a))
-        c = max(c, a + 1.0)
-        head_val, head_err, head_evals = _adaptive(f, a, c, 0.5 * tol, budget)
-
-        # Find X with |f(X)| * X / (p-1) below the tolerance share.
-        x_cap = c
-        tail_bound = math.inf
-        for _ in range(60):
-            x_cap *= 2.0
-            fx = float(np.max(np.abs(np.asarray(f(np.array([x_cap]))))))
-            counter[0] += 1
-            tail_bound = fx * x_cap / (p - 1.0)
-            if tail_bound <= 0.25 * tol:
-                break
-
-        q = 1.0 / (p - 1.0)
-        s_min = (c / x_cap) ** (1.0 / q)
-
-        def h(s):
-            s = np.asarray(s)
-            x = c * s ** (-q)
-            return np.asarray(f(x)) * (c * q * s ** (-q - 1.0))
-
-        mid_val, mid_err, mid_evals = _adaptive(h, s_min, 1.0, 0.5 * tol,
-                                                budget - head_evals - counter[0])
-        err = head_err + mid_err + tail_bound
-        return QuadResult(value=head_val + mid_val,
-                          error_estimate=err,
-                          evaluations=head_evals + mid_evals + counter[0],
-                          tail_dominated=tail_bound > head_err + mid_err)
-
-    raise DomainError(
-        f"decay must be 'exponential' or ('algebraic', p); got {decay!r}"
-    )
 
 
 def _jacobi_rule(n: int, exponent: float, endpoint: str, a: float, b: float):

@@ -20,9 +20,10 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import dct
 from scipy.special import gamma as gamma_fn, rgamma
 
-from ._errors import DomainError, StencilUnderflowError
+from ._errors import ConvergenceError, DomainError, StencilUnderflowError
 from .kernel import (
     EquationSpec,
     SignedDensitySample,
@@ -43,9 +44,7 @@ from .specfun import (
     mittag_leffler,
     mittag_leffler_grid,
     stable_one_sided_density_grid,
-    wright_guard,
 )
-from .timechange import TimeChangeLaw, time_density_grid
 
 __all__ = [
     "SolutionRequest",
@@ -59,17 +58,15 @@ __all__ = [
     "caputo_residual",
 ]
 
-#: time-density routes admissible inside the subordination integral (the
-#: fractional-integral route is a cross-check, far too slow per point)
-_TIME_ROUTES = ("wright", "stable", "product")
 _SOLVE_ROUTES = ("subordination", "fourier_ml", "auto")
 
-#: fraction of the time-density series guard actually used; evaluations
-#: stay strictly inside the trust region of every route
-_GUARD_MARGIN = 0.989
-
-#: tolerance for the shared t = 1 kernel profile evaluations
+#: tolerance for the shared t = 1 kernel profile evaluations, and for the
+#: time-law profile fit
 _KERNEL_TOL = 1e-11
+
+#: time-law profile: starting Chebyshev nodes and their cap under doubling
+_PROFILE_NODES = 97
+_PROFILE_MAX_NODES = 769
 
 #: the oscillatory-side head starts at this stationary-phase angle
 _OSC_PHASE0 = 6.0 * math.pi
@@ -94,10 +91,7 @@ class SolutionRequest:
 
     ``route`` picks the representation; ``"auto"`` resolves to Fourier
     inversion for even ``n`` and subordination for odd ``n``, matching
-    where each is best conditioned.  ``time_route`` optionally pins the
-    random-time density route used inside subordination; by default the
-    stable series is used for ``alpha >= 1/2`` and the Wright series
-    below that.
+    where each is best conditioned.
     """
 
     spec: EquationSpec
@@ -105,7 +99,6 @@ class SolutionRequest:
     t: float
     x_grid: tuple
     route: str = "auto"
-    time_route: str | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
@@ -120,17 +113,6 @@ class SolutionRequest:
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("x_grid must be strictly increasing")
         object.__setattr__(self, "x_grid", tuple(float(v) for v in xs))
-        if self.time_route is not None:
-            if self.time_route not in _TIME_ROUTES:
-                raise DomainError(
-                    f"time_route must be one of {_TIME_ROUTES}, "
-                    f"got {self.time_route!r}")
-            if self.alpha == 1.0:
-                raise DomainError(
-                    "alpha = 1 collapses the time law to a point mass; "
-                    "no route can be pinned")
-            # fail now, with the route's own message, not deep in a solve
-            TimeChangeLaw(alpha=self.alpha, t=self.t, route=self.time_route)
 
 
 @dataclass(frozen=True)
@@ -214,89 +196,79 @@ class _SimilarityKernel:
         return scale * self.profile(x * scale)
 
 
+def time_density_grid(alpha: float, u) -> np.ndarray:
+    """Density of the random time at ``t = 1`` over ``u >= 0``, by duality.
+
+    The first-passage duality with the one-sided stable law gives
+    ``F(u) = (1/alpha) u^{-1-1/alpha} g_alpha(u^{-1/alpha})`` (Meerschaert
+    & Scheffler 2004), float64 throughout.  Each point takes the stable
+    law at its own scale, ``F(u) = g(1; scale u) / (alpha u)``, so the
+    density's argument stays 1 instead of ``u^{-1/alpha}``, which
+    overflows near ``u = 0`` for small ``alpha``.
+    """
+    one = np.ones(1)
+    return np.array([
+        float(stable_one_sided_density_grid(
+            one, StableOneSided(alpha=alpha, u=float(x)))[0]) / (alpha * x)
+        if x > 0.0 else float(rgamma(1.0 - alpha))
+        for x in np.atleast_1d(np.asarray(u, dtype=float))])
+
+
 class _TimeProfile:
     """Chebyshev fit of the random-time density's similarity profile.
 
     The density scales as ``vbar(u, t) = t^-alpha F(u t^-alpha)`` with
-    ``F = vbar(., 1)``, and ``F`` is entire, so interpolants built once
-    replace per-node series work for every later quadrature evaluation.
-    Two segments: a direct fit on ``[0, x_mid]`` (the series trust
-    region, where the routes pay arbitrary-precision cost near the edge)
-    and a fit of ``log F`` on ``[x_mid, x_clip]``, carried to where ``F``
-    itself is ~1e-20.  Cutting at ``x_mid`` instead would leave a jump
-    of the order of ``F(x_mid)``, which the later space integrals turn
-    into a slowly decaying oscillatory tail; the log-segment removes it.
-    ``fit_err`` is measured against direct evaluations at off-node
-    probes on both segments; beyond ``x_clip`` the profile is clamped to
-    zero and the clamped mass is bounded separately through the survival
-    probability.
+    ``F = vbar(., 1)`` from :func:`time_density_grid`, and ``F`` is entire,
+    so an interpolant built once replaces per-node work for every later
+    quadrature evaluation.  One fit covers ``[0, x_clip]``, where
+    ``F(x_clip)`` is ~e^-46; beyond it the profile is clamped to zero and
+    the clamped mass is bounded separately through the survival
+    probability.  ``fit_err`` is measured against direct evaluations
+    midway (in angle) between every pair of nodes; the node count doubles
+    until it meets the kernel tolerance, and a fit that cannot is refused.
+    Doubling nests: the new rung's nodes are the old nodes and the old
+    midway probes, so each rung evaluates only its own new probes.
     """
 
-    def __init__(self, alpha: float, route: str | None, *,
-                 npts: int = 97, ntail: int = 25, nprobe: int = 9) -> None:
-        exact_half = alpha == 0.5 and route is None
-        if route is None:
-            route = "stable" if alpha >= 0.5 else "wright"
+    def __init__(self, alpha: float) -> None:
         self.alpha = alpha
-        self.route = route
-        # similarity point where the density has decayed to ~exp(-46)
-        far = (46.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
-        if exact_half:
-            # half-Gaussian closed form: no series guard applies, so a
-            # single direct fit covers the whole support
-            self.x_mid = self.x_clip = far
+        self.x_clip = (46.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
+        npts = _PROFILE_NODES
 
-            def evaluate(us: np.ndarray) -> np.ndarray:
-                return np.exp(-us * us / 4.0) / math.sqrt(math.pi)
-        else:
-            guard = wright_guard(-alpha, 1.0 - alpha)
-            self.x_mid = _GUARD_MARGIN * guard
-            self.x_clip = max(far, self.x_mid)
-            law = TimeChangeLaw(alpha=alpha, t=1.0, route=route)
+        def density_at(angles):
+            return time_density_grid(
+                alpha, 0.5 * self.x_clip * (1.0 - np.cos(angles)))
 
-            def evaluate(us: np.ndarray) -> np.ndarray:
-                return time_density_grid(law, us)
-        angles = np.pi * np.arange(npts) / (npts - 1)
-        nodes = 0.5 * self.x_mid * (1.0 - np.cos(angles))
-        vals = evaluate(nodes)
-        self._tail_coef = None
-        self._coef = np.polynomial.chebyshev.chebfit(
-            2.0 * nodes / self.x_mid - 1.0, vals, npts - 1)
-        probe_angles = np.pi * (np.linspace(1.0, npts - 2.0, nprobe) + 0.5) \
-            / (npts - 1)
-        probes = 0.5 * self.x_mid * (1.0 - np.cos(probe_angles))
-        direct = evaluate(probes)
-        self.fit_err = float(np.max(np.abs(self.profile(probes) - direct)))
-        if self.x_clip > self.x_mid:
-            # the series guard reflects float64 cancellation only; the
-            # wright route escalates precision as needed on the tail
-            tail_law = TimeChangeLaw(alpha=alpha, t=1.0, route="wright")
-            tangles = np.pi * np.arange(ntail) / (ntail - 1)
-            half = 0.5 * (self.x_clip - self.x_mid)
-            tnodes = self.x_mid + half * (1.0 - np.cos(tangles))
-            tvals = np.maximum(time_density_grid(tail_law, tnodes), 1e-300)
-            self._tail_coef = np.polynomial.chebyshev.chebfit(
-                (tnodes - self.x_mid) / half - 1.0, np.log(tvals), ntail - 1)
-            tp_angles = np.pi * (np.linspace(1.0, ntail - 2.0, nprobe)
-                                 + 0.5) / (ntail - 1)
-            tprobes = self.x_mid + half * (1.0 - np.cos(tp_angles))
-            tdirect = time_density_grid(tail_law, tprobes)
-            self.fit_err = max(self.fit_err, float(np.max(np.abs(
-                self.profile(tprobes) - tdirect))))
+        vals = density_at(np.pi * np.arange(npts) / (npts - 1))
+        while True:
+            # the nodes are the Chebyshev-Lobatto points in reverse order,
+            # so a type-1 DCT gives the interpolant's coefficients
+            self._coef = dct(vals[::-1], type=1) / (npts - 1)
+            self._coef[[0, -1]] *= 0.5
+            angles = np.pi * (np.arange(npts - 1) + 0.5) / (npts - 1)
+            probes = density_at(angles)
+            fitted = np.polynomial.chebyshev.chebval(-np.cos(angles),
+                                                     self._coef)
+            self.fit_err = float(np.max(np.abs(fitted - probes)))
+            if self.fit_err <= _KERNEL_TOL:
+                return
+            if npts >= _PROFILE_MAX_NODES:
+                raise ConvergenceError(
+                    f"time-law profile at alpha={alpha} misses the tolerance "
+                    f"{_KERNEL_TOL:g} with {npts} nodes "
+                    f"(fit error {self.fit_err:.2g})")
+            npts = 2 * npts - 1
+            merged = np.empty(npts)
+            merged[0::2], merged[1::2] = vals, probes
+            vals = merged
 
     def profile(self, xstar) -> np.ndarray:
         xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
         out = np.zeros_like(xstar)
-        ok = (xstar >= 0.0) & (xstar <= self.x_mid)
+        ok = (xstar >= 0.0) & (xstar <= self.x_clip)
         if np.any(ok):
             out[ok] = np.polynomial.chebyshev.chebval(
-                2.0 * xstar[ok] / self.x_mid - 1.0, self._coef)
-        if self._tail_coef is not None:
-            tl = (xstar > self.x_mid) & (xstar <= self.x_clip)
-            if np.any(tl):
-                half = 0.5 * (self.x_clip - self.x_mid)
-                out[tl] = np.exp(np.polynomial.chebyshev.chebval(
-                    (xstar[tl] - self.x_mid) / half - 1.0, self._tail_coef))
+                2.0 * xstar[ok] / self.x_clip - 1.0, self._coef)
         return out
 
     def density(self, u, t: float) -> np.ndarray:
@@ -308,9 +280,9 @@ class _TimeProfile:
 
 
 @lru_cache(maxsize=32)
-def _time_profile(alpha: float, route: str | None) -> _TimeProfile:
+def _time_profile(alpha: float) -> _TimeProfile:
     """Memoized profile: immutable once built, reused across solves."""
-    return _TimeProfile(alpha, route)
+    return _TimeProfile(alpha)
 
 
 def _survival_probability(alpha: float, u0: float, t: float) -> float:
@@ -458,7 +430,7 @@ def solve_subordination(request: SolutionRequest, *,
                         for x, v in zip(xs, vals))
         return SolutionField(request=request, values=samples,
                              route_used="subordination")
-    prof = _time_profile(alpha, request.time_route)
+    prof = _time_profile(alpha)
     u_clip = prof.u_clip(t)
     shape = _SimilarityKernel(spec)
     osc = _OscillatoryTail(shape) if shape.osc_dir else None
@@ -723,7 +695,7 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
 
         res = integrate_adaptive(f, 0.0, t_cut, 0.1 * tol)
         return abs(res.value - closed)
-    prof = _time_profile(alpha, None)
+    prof = _time_profile(alpha)
 
     def time_integral(u: float) -> float:
         # int_0^{t_cut} e^{-st} vbar(u, t) dt; below t_floor the density
@@ -785,7 +757,7 @@ class _GridField:
         self.alpha = alpha
         self.shape = _SimilarityKernel(spec, tol=1e-13)
         if alpha < 1.0:
-            self.prof = _time_profile(alpha, None)
+            self.prof = _time_profile(alpha)
             self.u_hi = self.prof.u_clip(t_max)
         self._key = None
 

@@ -17,14 +17,15 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln
+from scipy.special import gammaln, roots_legendre
 from scipy.special import rgamma as _scipy_rgamma
 from scipy.special import wofz
 
-from ._errors import DomainError, SeriesRangeError
+from ._errors import ConvergenceError, DomainError, SeriesRangeError
 
 #: Condition number (max |term| / |sum|) up to which a float64 compensated
 #: sum keeps ~12 significant digits.
@@ -32,6 +33,17 @@ _COND_FLOAT = 1.0e4
 
 #: Condition number beyond which evaluation is refused (the series guard).
 _COND_GUARD = 1.0e12
+
+#: Terms an extended-precision series may sum before it is declared
+#: unconverged; a partial sum is never returned as a value.  The complex
+#: Mittag-Leffler Taylor loop, on the Fourier solve path, stops at half the
+#: cap, so a runaway sum there fails no later than it ever did.
+_MP_TERM_CAP = 200000
+
+
+def _mp_cap_exceeded(name: str, x, cap: int) -> ConvergenceError:
+    return ConvergenceError(
+        f"{name} series at {x} did not converge within {cap} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +170,11 @@ _COND_GUARD_LOG = math.log(_COND_GUARD)
 def _wright_series_f64(x: np.ndarray, eta: float, beta: float):
     """Compensated float64 Wright series on an array of arguments.
 
-    Returns (values, condition) where condition = max|term| / |sum|.
+    Returns (values, condition) where condition = max|term| / |sum|, or
+    inf where the term budget ran out before the terms became negligible.
     Individual terms legitimately vanish at Gamma poles, so the stopping
-    rule demands several consecutive negligible terms, never just one.
+    rule demands several consecutive negligible terms, never just one, and
+    convergence is judged over the closing window of terms.
     """
     x = np.asarray(x, dtype=float)
     a = -eta
@@ -176,12 +190,14 @@ def _wright_series_f64(x: np.ndarray, eta: float, beta: float):
     c = np.zeros_like(x)
     power = np.ones_like(x)  # x^k / k!
     max_term = np.zeros_like(x)
+    window = np.zeros((8,) + x.shape)  # |term| of the last eight terms
     quiet = 0
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(n_terms):
             term = power * rg[k]
             s, c = _neumaier_step(s, c, term)
             np.maximum(max_term, np.abs(term), out=max_term)
+            window[k % 8] = np.abs(term)
             power = power * x / (k + 1.0)
             if np.all(np.abs(term) <= 1e-18 * (np.abs(s) + 1e-300)):
                 quiet += 1
@@ -191,6 +207,8 @@ def _wright_series_f64(x: np.ndarray, eta: float, beta: float):
                 quiet = 0
     total = s + c
     cond = max_term / np.maximum(np.abs(total), 1e-300)
+    stalled = window.max(axis=0) > 1e-14 * (np.abs(total) + 1e-300)
+    cond = np.where(stalled & np.isfinite(cond), np.inf, cond)
     cond = np.where(np.isfinite(total), cond, np.inf)
     return total, cond
 
@@ -221,8 +239,8 @@ def _wright_mp(x: float, eta: float, beta: float, digits_lost: float) -> float:
                     break
             else:
                 quiet = 0
-            if k > 200000:
-                break
+            if k > _MP_TERM_CAP:
+                raise _mp_cap_exceeded("Wright", x, _MP_TERM_CAP)
         return float(s)
 
 
@@ -376,8 +394,9 @@ def _ml_taylor_mp(z: complex, alpha: float, beta: float,
                     break
             else:
                 quiet = 0
-            if k > 100000:
-                break
+            if k > _MP_TERM_CAP // 2:
+                raise _mp_cap_exceeded("Mittag-Leffler Taylor", z,
+                                       _MP_TERM_CAP // 2)
         return complex(s)
 
 
@@ -492,9 +511,14 @@ def _stable_series_f64(w: np.ndarray, u: float, alpha: float):
     was hit before the terms started decaying.
     """
     w = np.asarray(w, dtype=float)
-    ratio_scale = float(np.max(u * w ** -alpha)) if w.size else 0.0
-    k_peak = ratio_scale ** (1.0 / (1.0 - alpha)) if ratio_scale > 1e-9 else 1.0
-    n_terms = min(int(2.6 * k_peak) + 60, 4000)
+    ratio_scale = max(float(np.max(u * w ** -alpha)) if w.size else 0.0, 1e-9)
+    k_peak = ratio_scale ** (1.0 / (1.0 - alpha))
+    n_terms = 2.6 * k_peak + 60.0
+    if k_peak < 0.1:
+        # below the peak the terms shrink only by ~(k / (e k_peak))^-(1-alpha)
+        # each, which for alpha near 1 takes far more than 60 terms
+        n_terms += 40.0 / (-math.log(ratio_scale) - (1.0 - alpha))
+    n_terms = min(int(n_terms), 4000)
 
     ks = np.arange(1, n_terms + 1, dtype=float)
     # Gamma(alpha k + 1)/k! staying in log space for range safety.
@@ -505,8 +529,8 @@ def _stable_series_f64(w: np.ndarray, u: float, alpha: float):
     logw = np.log(w)
     logu = math.log(u)
     # One dense (term, argument) matrix: n_terms stays ~O(1e3), and numpy's
-    # pairwise summation keeps the rounding at ~log2(n) eps per max term,
-    # well inside the 1e4 condition cap enforced by the caller.
+    # pairwise summation keeps the rounding at ~log2(n) eps per max term;
+    # the caller trusts the sum only up to _STABLE_SERIES_COND.
     log_mag = (log_coef[:, None] + ks[:, None] * logu
                + (-alpha * ks[:, None] - 1.0) * logw[None, :])
     terms = (sign_k * sin_k)[:, None] * np.exp(log_mag)
@@ -526,6 +550,22 @@ def _stable_series_f64(w: np.ndarray, u: float, alpha: float):
 
 _ZOLOTAREV_NODE_LADDER = (240, 480, 960, 1920)
 
+#: Condition up to which the one-sided stable series is trusted.  Its
+#: log-space terms carry ~1e-13 relative rounding each, so past a few units
+#: of cancellation the positive Zolotarev integral is the more accurate.
+_STABLE_SERIES_COND = 3.0
+
+
+@lru_cache(maxsize=None)
+def _zolotarev_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [0, pi].
+
+    scipy's generator works in O(n) memory; numpy's ``leggauss`` builds an
+    n x n companion matrix, ~60 MB at the top rung.
+    """
+    nodes, weights = roots_legendre(n_nodes)
+    return 0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights
+
 
 def _zolotarev_values(x: np.ndarray, alpha: float) -> np.ndarray:
     """Small-argument one-sided stable density at unit scale.
@@ -539,30 +579,36 @@ def _zolotarev_values(x: np.ndarray, alpha: float) -> np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     frac = alpha / (1.0 - alpha)
-    cs = x ** (-frac)           # multiplier inside the exponential
-    pref = frac / math.pi * x ** (-1.0 / (1.0 - alpha))
+    # the prefactor and the multiplier inside the exponential stay in log
+    # form: near alpha = 1 their powers of x overflow even where the
+    # density itself is representable
+    log_x = np.log(x)
+    log_pref = math.log(frac / math.pi) - log_x / (1.0 - alpha)
+    log_cs = -frac * log_x
 
     def eval_rule(n_nodes: int) -> np.ndarray:
-        nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
-        theta = 0.5 * math.pi * (nodes + 1.0)
-        wts = 0.5 * math.pi * weights
+        theta, wts = _zolotarev_rule(n_nodes)
         log_a = (frac * np.log(np.sin(alpha * theta))
                  + np.log(np.sin((1.0 - alpha) * theta))
                  - np.log(np.sin(theta)) / (1.0 - alpha))
         # integrand rows: one theta; columns: one x
-        expo = log_a[:, None] - cs[None, :] * np.exp(log_a)[:, None]
+        with np.errstate(over="ignore"):
+            expo = (log_pref[None, :] + log_a[:, None]
+                    - np.exp(log_cs[None, :] + log_a[:, None]))
         vals = np.where(expo > -745.0, np.exp(expo), 0.0)
         return wts @ vals
 
     prev = eval_rule(_ZOLOTAREV_NODE_LADDER[0])
     for n_nodes in _ZOLOTAREV_NODE_LADDER[1:]:
         cur = eval_rule(n_nodes)
-        scale = np.maximum(np.abs(cur), 1e-300)
-        if np.max(np.abs(cur - prev) / scale) < 1e-10:
-            prev = cur
-            break
+        change = float(np.max(np.abs(cur - prev)
+                              / np.maximum(np.abs(cur), 1e-300)))
+        if change < 1e-10:
+            return cur
         prev = cur
-    return pref * prev
+    raise ConvergenceError(
+        f"Zolotarev integral at alpha={alpha} still moves by {change:.2g} "
+        f"between its last rungs ({_ZOLOTAREV_NODE_LADDER[-1]} nodes)")
 
 
 def stable_one_sided_density(w: float, s: StableOneSided) -> float:
@@ -584,14 +630,15 @@ def stable_one_sided_density_grid(w: np.ndarray, s: StableOneSided) -> np.ndarra
     w = np.asarray(w, dtype=float)
     if np.any(w <= 0.0):
         raise DomainError("stable density needs w > 0")
-    k_pk = (s.u * w ** -s.alpha) ** (1.0 / (1.0 - s.alpha))
+    with np.errstate(over="ignore"):
+        k_pk = (s.u * w ** -s.alpha) ** (1.0 / (1.0 - s.alpha))
     try_series = k_pk <= 300.0
     values = np.empty_like(w)
     use_integral = ~try_series
     if np.any(try_series):
         sub, cond = _stable_series_f64(w[try_series], s.u, s.alpha)
         values[try_series] = sub
-        bad = cond > _COND_FLOAT
+        bad = cond > _STABLE_SERIES_COND
         if np.any(bad):
             use_integral = use_integral.copy()
             use_integral[np.nonzero(try_series)[0][np.nonzero(bad)[0]]] = True
@@ -655,8 +702,8 @@ def _spec_neg_mp(x: float, alpha: float, digits_lost: float) -> float:
                     break
             else:
                 quiet = 0
-            if n > 200000:
-                break
+            if n > _MP_TERM_CAP:
+                raise _mp_cap_exceeded("spectrally negative", x, _MP_TERM_CAP)
         return float(s / mp.pi)
 
 

@@ -15,6 +15,7 @@ against another evaluation of the same formulas.
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from scipy.integrate import simpson
 from scipy.special import gamma as gamma_fn
 
 from fracheat import (
+    ConvergenceError,
     DomainError,
     EquationSpec,
     SolutionRequest,
@@ -35,8 +37,16 @@ from fracheat import (
     solve_fourier_ml,
     solve_subordination,
 )
+from fracheat import solver, specfun
 from fracheat._errors import StencilUnderflowError
-from fracheat.specfun import MLParams, WrightParams, mittag_leffler, wright_w_grid
+from fracheat.specfun import (
+    MLParams,
+    WrightParams,
+    mittag_leffler,
+    wright_guard,
+    wright_w_grid,
+)
+from fracheat.timechange import TimeChangeLaw, time_density_grid
 
 # value of the solution at the origin for n = 2, alpha = 1/2, t = 1:
 # u(0, 1) = W(0) / 2 = 1 / (2 * Gamma(3/4))
@@ -129,6 +139,67 @@ def test_error_estimates_dominate_truth():
 
 
 # ---------------------------------------------------------------------------
+# the random-time law inside subordination
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.5, 0.6, 0.9,
+                                   0.95, 0.97, 0.99, 0.995, 0.998])
+def test_time_profile_matches_series_routes(alpha):
+    """The stable-duality profile against the series routes inside their
+    guards: spectrally negative for 1/2 <= alpha <= 0.9, Wright elsewhere
+    (near alpha = 1 that route sums in extended precision)."""
+    prof = solver._time_profile(alpha)
+    assert prof.fit_err <= solver._KERNEL_TOL
+    guard = 0.989 * wright_guard(-alpha, 1.0 - alpha)
+    xs = np.linspace(0.0, min(guard, prof.x_clip), 13)
+    route = "stable" if 0.5 <= alpha <= 0.9 else "wright"
+    want = time_density_grid(TimeChangeLaw(alpha, 1.0, route), xs)
+    assert_allclose(prof.profile(xs), want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.99, 0.995, 0.998])
+def test_subordination_near_alpha_one(alpha):
+    xs = np.linspace(-4.0, 4.0, 9)
+    req = SolutionRequest(EquationSpec(2), alpha, 1.0, tuple(xs),
+                          route="subordination")
+    field = solve_subordination(req)
+    closed = wright_closed_form(xs, alpha, 1.0)
+    # the closed form is good to ~1e-10 relative inside its guard
+    bound = field.grid_errors() + 1e-10 * np.abs(closed)
+    assert np.all(np.abs(field.grid_values() - closed) <= bound)
+    assert np.max(field.grid_errors()) < 1e-8
+
+
+def test_time_profile_refusal_comes_before_quadrature(monkeypatch):
+    """Where the fit cannot meet the tolerance the solve refuses, fast
+    and before any quadrature runs."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature ran before the refusal")
+
+    for name in ("integrate_adaptive", "integrate_jacobi_singular"):
+        monkeypatch.setattr(solver, name, forbidden)
+    req = SolutionRequest(EquationSpec(3), 0.999, 1.0, (0.0, 1.0),
+                          route="subordination")
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError):
+        solve_subordination(req)
+    assert time.perf_counter() - start < 10.0
+
+
+def test_subordination_stays_in_float64(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extended-precision series called")
+
+    for name in ("_wright_mp", "_spec_neg_mp", "_ml_taylor_mp"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    # an alpha no other test builds, so the profile is built here
+    req = SolutionRequest(EquationSpec(3), 0.57, 1.3, (-1.0, 0.0, 2.0),
+                          route="subordination")
+    field = solve_subordination(req)
+    assert np.all(np.isfinite(field.grid_values()))
+
+
+# ---------------------------------------------------------------------------
 # route dispatch and request validation
 # ---------------------------------------------------------------------------
 
@@ -145,17 +216,6 @@ def test_route_dispatch():
     assert even.degraded is False
 
 
-def test_time_route_pinning_consistent():
-    """Pinning either density route must not move the answer."""
-    for x in (0.0, 1.0):
-        vals = []
-        for tr in ("wright", "stable"):
-            req = SolutionRequest(EquationSpec(2), 0.6, 1.0, (x,),
-                                  time_route=tr)
-            vals.append(solve_subordination(req).values[0].value)
-        assert_allclose(vals[0], vals[1], rtol=0.0, atol=1e-10)
-
-
 @pytest.mark.parametrize("kwargs", [
     {"alpha": 0.0},
     {"alpha": 1.2},
@@ -165,8 +225,6 @@ def test_time_route_pinning_consistent():
     {"x_grid": ()},
     {"x_grid": (0.0, 0.0, 1.0)},
     {"x_grid": (1.0, 0.0)},
-    {"time_route": "frac_integral"},
-    {"alpha": 1.0, "time_route": "wright"},
 ])
 def test_request_validation(kwargs):
     base = {"spec": EquationSpec(2), "alpha": 0.5, "t": 1.0,

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
-from fracheat import DomainError, SeriesRangeError
-from fracheat.quadrature import integrate_adaptive, integrate_semi_infinite
+from fracheat import ConvergenceError, DomainError, SeriesRangeError
+from fracheat import specfun
+from fracheat.quadrature import integrate_adaptive
 from fracheat.specfun import (
     MLParams,
     StableOneSided,
@@ -118,6 +120,19 @@ class TestWrightSeries:
         # ln W(-y; -1/2, 1/2) = -y^2/4 - ln sqrt(pi); leading term is -y^2/4.
         assert wright_log_decay(6.0, -0.5) == pytest.approx(-9.0, rel=1e-12)
         assert wright_log_decay(0.0, -0.5) == 0.0
+
+    @pytest.mark.parametrize("alpha, expected", [
+        # 60+ digit mpmath sums of W(-1.03; -alpha, 1 - alpha)
+        (0.95, 1.8302398921447955),
+        (0.97, 2.8912406130913033),
+        (0.985, 6.3366705666121295),
+        (0.99, 11.5538807614192),
+    ])
+    def test_near_one_escalates_when_terms_run_out(self, alpha, expected):
+        # Near alpha = 1 the float64 term budget ends before the terms are
+        # negligible; those entries must escalate, not return a partial sum.
+        got = wright_w(-1.03, WrightParams(eta=-alpha, beta=1.0 - alpha))
+        assert got == pytest.approx(expected, rel=1e-10)
 
     @given(y=st.floats(min_value=0.0, max_value=5.0))
     @settings(max_examples=40, deadline=None)
@@ -245,16 +260,14 @@ class TestStableOneSided:
 
     @pytest.mark.parametrize("alpha, u", [(0.4, 1.0), (0.6, 0.7), (0.85, 2.0)])
     def test_normalization(self, alpha, u):
-        # The law is heavy-tailed: f(w) ~ c w^{-1-alpha}, so the tail hint
-        # must be algebraic with exponent 1 + alpha.
+        # The law is heavy-tailed: f(w) ~ c w^{-1-alpha}, so the far part
+        # goes to QUADPACK's transformed infinite-range rule.
         spec = StableOneSided(alpha=alpha, u=u)
-
-        def f(w):
-            return stable_one_sided_density_grid(w, spec)
-
-        res = integrate_semi_infinite(
-            f, 1e-12, decay=("algebraic", 1.0 + alpha), tol=1e-9)
-        assert res.value == pytest.approx(1.0, abs=5e-7)
+        head, _ = quad(stable_one_sided_density, 1e-12, 1.0, args=(spec,),
+                       epsabs=1e-11, limit=200)
+        tail, _ = quad(stable_one_sided_density, 1.0, np.inf, args=(spec,),
+                       epsabs=1e-11, limit=200)
+        assert head + tail == pytest.approx(1.0, abs=5e-7)
 
     @pytest.mark.parametrize("alpha, s, u", [(0.5, 1.0, 1.0), (0.7, 2.0, 0.6),
                                              (0.3, 0.5, 1.5)])
@@ -263,10 +276,37 @@ class TestStableOneSided:
         spec = StableOneSided(alpha=alpha, u=u)
 
         def f(w):
-            return np.exp(-s * w) * stable_one_sided_density_grid(w, spec)
+            return math.exp(-s * w) * stable_one_sided_density(w, spec)
 
-        res = integrate_semi_infinite(f, 1e-12, decay="exponential", tol=1e-10)
-        assert res.value == pytest.approx(math.exp(-s ** alpha * u), rel=1e-8)
+        value, _ = quad(f, 1e-12, np.inf, epsabs=1e-12, epsrel=1e-11,
+                        limit=200)
+        assert value == pytest.approx(math.exp(-s ** alpha * u), rel=1e-8)
+
+    @pytest.mark.parametrize("alpha, w, expected", [
+        # alpha x^{1+1/alpha} W(-x; -alpha, 1-alpha) at x = w^-alpha, summed
+        # in mpmath: where the series cancels a few digits
+        (0.9, 0.5698813110925782, 0.03664101133427505),
+        (0.9, 0.5931984659873031, 0.1876352359141509),
+        (0.95, 0.7731997618154967, 1.3227192546936175),
+    ])
+    def test_crossover_accuracy(self, alpha, w, expected):
+        got = stable_one_sided_density_grid(
+            np.array([w]), StableOneSided(alpha=alpha, u=1.0))
+        assert got[0] == pytest.approx(expected, rel=1e-12)
+
+    def test_finite_near_alpha_one(self):
+        # the integral form's powers of w overflow near alpha = 1; the
+        # density there is superexponentially small, not undefined
+        got = stable_one_sided_density_grid(
+            np.array([0.01, 0.5, 1.0]), StableOneSided(alpha=0.995, u=1.0))
+        assert np.all(np.isfinite(got)) and np.all(got >= 0.0)
+        assert got[2] > 0.1
+
+    def test_unresolved_integral_refuses(self):
+        # near alpha = 1 the integrand's peak by theta = pi is too narrow
+        # for every rung at moderate w; the last rung is 3e-7 off there
+        with pytest.raises(ConvergenceError):
+            specfun._zolotarev_values(np.array([1.65]), 0.99)
 
     def test_scaling_reduction(self):
         # f(w; u) = u^{-1/alpha} f(w u^{-1/alpha}; 1)
@@ -341,3 +381,20 @@ class TestStableSpectrallyNegative:
         grid = stable_spec_neg_density_grid(us, spec)
         singles = [stable_spec_neg_density(float(u), spec) for u in us]
         assert_allclose(grid, singles, rtol=1e-12)
+
+
+class TestExtendedPrecisionCap:
+    """Every extended-precision loop stops at a cap set by one constant and
+    raises."""
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: wright_w(-5.5, WrightParams(eta=-0.5, beta=1.0)),
+        lambda: stable_spec_neg_density(
+            3.5, StableSpectrallyNegative(alpha=0.7, t=1.0)),
+        lambda: mittag_leffler(-5.0, MLParams(alpha=0.7)),
+    ], ids=["wright", "spec_neg", "mittag_leffler"])
+    def test_cap_raises_instead_of_partial_sum(self, monkeypatch, evaluate):
+        evaluate()  # converges under the real cap
+        monkeypatch.setattr(specfun, "_MP_TERM_CAP", 5)
+        with pytest.raises(ConvergenceError):
+            evaluate()
