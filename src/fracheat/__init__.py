@@ -38,8 +38,6 @@ from .solver import (
     solution_char_fn,
     solution_moment,
     solve,
-    solve_fourier_ml,
-    solve_subordination,
 )
 from .timechange import (
     TimeChangeLaw,
@@ -71,8 +69,6 @@ __all__ = [
     "SolutionRequest",
     "SolutionField",
     "solve",
-    "solve_subordination",
-    "solve_fourier_ml",
     "solution_char_fn",
     "solution_moment",
     "laplace_relation_check",

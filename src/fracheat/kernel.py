@@ -107,7 +107,7 @@ def root_system(spec: EquationSpec) -> RootSystem:
 
 @dataclass(frozen=True)
 class SignedDensitySample:
-    """One kernel or solution value: possibly negative for ``n > 2``."""
+    """One kernel value: possibly negative for ``n > 2``."""
 
     x: float
     value: float

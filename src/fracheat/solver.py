@@ -1,10 +1,12 @@
 """Solution of the fractional-in-time equation by two independent routes.
 
-``solve_subordination`` integrates the signed space kernel against the
-random-time density over the operational time axis; ``solve_fourier_ml``
-inverts the characteristic function, a Mittag-Leffler function of the
-spatial symbol.  The two representations share no code below the top
-level, so their agreement is a genuine cross-check of both.
+:func:`solve` serves both.  Subordination integrates the signed space
+kernel against the random-time density over the operational time axis;
+Fourier inversion inverts the characteristic function, a Mittag-Leffler
+function of the spatial symbol.  The two representations share no code
+below the top level, so their agreement is a genuine cross-check of both.
+Either runs once at ``t = 1``: the solution is self-similar, so ``solve``
+maps every other ``t`` onto that one solve.
 
 The module also carries the analytic side data used for validation:
 moments of the solution, its characteristic function, the closed-form
@@ -13,7 +15,6 @@ the solution back into the equation it is supposed to satisfy.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,12 +22,11 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct
-from scipy.special import gamma as gamma_fn, rgamma
+from scipy.special import gamma as gamma_fn, rgamma, sici
 
 from ._errors import ConvergenceError, DomainError, StencilUnderflowError
 from .kernel import (
     EquationSpec,
-    SignedDensitySample,
     _decay_rate,
     _phase_point,
     kernel_density_grid,
@@ -50,8 +50,6 @@ __all__ = [
     "SolutionRequest",
     "SolutionField",
     "solve",
-    "solve_subordination",
-    "solve_fourier_ml",
     "solution_char_fn",
     "solution_moment",
     "laplace_relation_check",
@@ -79,6 +77,10 @@ _DECAY_CLIP_LOG = 70.0
 
 #: negative-power terms kept in the analytic Fourier tail
 _FOURIER_TAIL_TERMS = 6
+
+#: |x| B up to which the tail transforms recur upward from r = 1; beyond
+#: it they come from the continued fraction
+_TAIL_UPWARD_MAX = 7.0
 
 
 # ---------------------------------------------------------------------------
@@ -115,41 +117,28 @@ class SolutionRequest:
         object.__setattr__(self, "x_grid", tuple(float(v) for v in xs))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionField:
     """Solution values on the request grid with per-point error estimates.
 
-    ``route_used`` records, per grid point, which representation produced
-    the value (a bare string given at construction is broadcast over the
-    grid).  ``degraded`` records that some Mittag-Leffler evaluation fell
-    in the sector where its asymptotic accuracy is limited; the error
+    ``values`` and ``errors`` are read-only arrays over ``request.x_grid``;
+    ``route_used`` names the representation that produced them (``"auto"``
+    resolved).  ``degraded`` records that some Mittag-Leffler evaluation
+    fell in the sector where its asymptotic accuracy is limited; the error
     estimates already account for it.
     """
 
     request: SolutionRequest
-    values: tuple
-    route_used: tuple
+    values: np.ndarray
+    errors: np.ndarray
+    route_used: str
     degraded: bool = False
 
-    def __post_init__(self) -> None:
-        if isinstance(self.route_used, str):
-            object.__setattr__(
-                self, "route_used", (self.route_used,) * len(self.values))
-
     def grid_values(self) -> np.ndarray:
-        return np.array([s.value for s in self.values])
+        return self.values
 
     def grid_errors(self) -> np.ndarray:
-        return np.array([s.error_estimate for s in self.values])
-
-
-def _make_sample(spec: EquationSpec, x: float, value: float,
-                 err: float) -> SignedDensitySample:
-    # same clamp policy as the kernel: for n = 2 the solution is a true
-    # density, so noise-level negatives are set to zero
-    if spec.n == 2 and value < 0.0 and -value <= 10.0 * err + 1e-300:
-        value = 0.0
-    return SignedDensitySample(x=x, value=value, error_estimate=err)
+        return self.errors
 
 
 # ---------------------------------------------------------------------------
@@ -215,15 +204,14 @@ def time_density_grid(alpha: float, u) -> np.ndarray:
 
 
 class _TimeProfile:
-    """Chebyshev fit of the random-time density's similarity profile.
+    """Chebyshev fit of the random-time density at ``t = 1``.
 
-    The density scales as ``vbar(u, t) = t^-alpha F(u t^-alpha)`` with
-    ``F = vbar(., 1)`` from :func:`time_density_grid`, and ``F`` is entire,
-    so an interpolant built once replaces per-node work for every later
-    quadrature evaluation.  One fit covers ``[0, x_clip]``, where
-    ``F(x_clip)`` is ~e^-46; beyond it the profile is clamped to zero and
-    the clamped mass is bounded separately through the survival
-    probability.  ``fit_err`` is measured against direct evaluations
+    ``F`` from :func:`time_density_grid` is entire, so an interpolant
+    built once replaces per-node work for every later quadrature
+    evaluation (other times follow from ``vbar(u, t) = t^-alpha
+    F(u t^-alpha)``).  One fit covers ``[0, x_clip]``, where ``F(x_clip)``
+    is ~e^-46; beyond it the profile is clamped to zero, and ``tail_mass``
+    is the clamped mass.  ``fit_err`` is measured against direct evaluations
     midway (in angle) between every pair of nodes; the node count doubles
     until it meets the kernel tolerance, and a fit that cannot is refused.
     Doubling nests: the new rung's nodes are the old nodes and the old
@@ -231,7 +219,6 @@ class _TimeProfile:
     """
 
     def __init__(self, alpha: float) -> None:
-        self.alpha = alpha
         self.x_clip = (46.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
         npts = _PROFILE_NODES
 
@@ -251,7 +238,7 @@ class _TimeProfile:
                                                      self._coef)
             self.fit_err = float(np.max(np.abs(fitted - probes)))
             if self.fit_err <= _KERNEL_TOL:
-                return
+                break
             if npts >= _PROFILE_MAX_NODES:
                 raise ConvergenceError(
                     f"time-law profile at alpha={alpha} misses the tolerance "
@@ -261,6 +248,7 @@ class _TimeProfile:
             merged = np.empty(npts)
             merged[0::2], merged[1::2] = vals, probes
             vals = merged
+        self.tail_mass = _survival_probability(alpha, self.x_clip)
 
     def profile(self, xstar) -> np.ndarray:
         xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
@@ -271,13 +259,6 @@ class _TimeProfile:
                 2.0 * xstar[ok] / self.x_clip - 1.0, self._coef)
         return out
 
-    def density(self, u, t: float) -> np.ndarray:
-        return t ** -self.alpha * self.profile(
-            np.asarray(u, dtype=float) * t ** -self.alpha)
-
-    def u_clip(self, t: float) -> float:
-        return self.x_clip * t ** self.alpha
-
 
 @lru_cache(maxsize=32)
 def _time_profile(alpha: float) -> _TimeProfile:
@@ -285,20 +266,18 @@ def _time_profile(alpha: float) -> _TimeProfile:
     return _TimeProfile(alpha)
 
 
-def _survival_probability(alpha: float, u0: float, t: float) -> float:
-    """P(inverse time > u0) as one-sided stable mass on [0, t].
+def _survival_probability(alpha: float, u0: float) -> float:
+    """P(random time at t = 1 exceeds u0) as one-sided stable mass on [0, 1].
 
     The inverse law and the one-sided stable law are first-passage duals,
     so the survival function needs no density values beyond the guard.
     """
-    if alpha == 1.0:
-        return 0.0 if u0 >= t else 1.0
     law = StableOneSided(alpha=alpha, u=u0)
 
     def f(ws):
         return stable_one_sided_density_grid(np.asarray(ws, dtype=float), law)
 
-    return float(integrate_adaptive(f, 0.0, t, 1e-10).value)
+    return float(integrate_adaptive(f, 0.0, 1.0, 1e-10).value)
 
 
 class _OscillatoryTail:
@@ -414,54 +393,34 @@ def _integrate_against_kernel(shape: _SimilarityKernel,
 # Route 1: subordination
 # ---------------------------------------------------------------------------
 
-def solve_subordination(request: SolutionRequest, *,
-                        tol: float = 1e-8) -> SolutionField:
-    """Solution values as the kernel integrated against the random-time
-    density: ``u(x, t) = int_0^inf p_n(x, u) vbar(u, t) du``.
-
-    At ``alpha = 1`` the time law is a point mass at ``t`` and the
-    integral collapses to the kernel itself.
-    """
-    spec, alpha, t = request.spec, request.alpha, request.t
-    xs = np.asarray(request.x_grid, dtype=float)
-    if alpha == 1.0:
-        vals, kerr, _ = kernel_density_grid(spec, xs, t, min(tol, 1e-10))
-        samples = tuple(_make_sample(spec, float(x), float(v), float(kerr))
-                        for x, v in zip(xs, vals))
-        return SolutionField(request=request, values=samples,
-                             route_used="subordination")
+def _subordinate(spec: EquationSpec, alpha: float, ys: np.ndarray,
+                 tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Solution at ``t = 1`` as the kernel integrated against the
+    random-time density: ``U(y) = int_0^inf p_n(y, u) F(u) du``."""
     prof = _time_profile(alpha)
-    u_clip = prof.u_clip(t)
     shape = _SimilarityKernel(spec)
     osc = _OscillatoryTail(shape) if shape.osc_dir else None
-    tail_mass = _survival_probability(alpha, u_clip, t)
-
-    def weight(u):
-        return prof.density(u, t)
-
     n = spec.n
-    samples = []
-    for x in xs:
-        value, err = _integrate_against_kernel(shape, osc, float(x), weight,
-                                               u_clip, 0.5 * tol)
-        amp = 2.0 * max(shape.profile_sup, 0.5)
-        # mass clamped beyond the guard, times a kernel amplitude bound,
-        # plus the measured interpolation error against the kernel's
-        # absolute u-integral
-        err += tail_mass * amp * u_clip ** (-1.0 / n)
-        err += (prof.fit_err * t ** -alpha
-                * amp * u_clip ** (1.0 - 1.0 / n) * n / (n - 1.0))
-        samples.append(_make_sample(spec, float(x), float(value), float(err)))
-    return SolutionField(request=request, values=tuple(samples),
-                         route_used="subordination")
+    # mass clamped beyond the guard, times a kernel amplitude bound, plus
+    # the measured interpolation error against the kernel's absolute
+    # u-integral
+    clip_err = (prof.tail_mass * prof.x_clip ** (-1.0 / n)
+                + prof.fit_err * prof.x_clip ** (1.0 - 1.0 / n) * n / (n - 1.0))
+    values = np.empty(ys.size)
+    errors = np.empty(ys.size)
+    for i, y in enumerate(ys):
+        values[i], err = _integrate_against_kernel(
+            shape, osc, float(y), prof.profile, prof.x_clip, 0.5 * tol)
+        errors[i] = err + 2.0 * max(shape.profile_sup, 0.5) * clip_err
+    return values, errors
 
 
 # ---------------------------------------------------------------------------
 # Route 2: Fourier inversion through the Mittag-Leffler function
 # ---------------------------------------------------------------------------
 
-def _fourier_cutoff(alpha: float, n: int, a_abs: float) -> float:
-    """Head/tail split point B for the transform integral.
+def _fourier_cutoff(alpha: float, n: int) -> float:
+    """Head/tail split point B for the transform integral at ``t = 1``.
 
     Chosen so that on the tail (i) the Mittag-Leffler argument is deep in
     its negative-power regime and (ii) for odd ``n`` with ``alpha > 1/2``
@@ -471,40 +430,66 @@ def _fourier_cutoff(alpha: float, n: int, a_abs: float) -> float:
     if n % 2 and 0.5 < alpha < 1.0:
         cosfac = abs(math.cos(math.pi / (2.0 * alpha)))
         z_min = max(z_min, (21.0 / cosfac) ** alpha)
-    return (z_min / a_abs) ** (1.0 / n)
+    return z_min ** (1.0 / n)
+
+
+def _expint_cf(r: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """``E_r(z)`` by the modified Lentz continued fraction (|z| > 1),
+    broadcast over ``r`` and ``z``."""
+    b = z + r
+    c = np.full(b.shape, 1e300, dtype=complex)
+    d = 1.0 / b
+    h = d
+    for i in range(1, 1000):
+        an = -i * (r - 1.0 + i)
+        b = b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h = h * delta
+        if np.max(np.abs(delta - 1.0)) < 1e-15:
+            return h * np.exp(-z)
+    raise ConvergenceError("continued fraction of E_r did not converge")
 
 
 def _tail_inverse_power_transforms(xs: np.ndarray, B: float,
                                    r_max: int) -> np.ndarray:
-    """``C_r(x) = int_B^inf e^{-i x b} b^-r db`` for r = 1..r_max.
+    """``C_r(x) = int_B^inf e^{-i x b} b^-r db = B^{1-r} E_r(i x B)`` for
+    r = 1..r_max.
 
-    ``C_1`` comes from the sine/cosine integrals; higher r follow from
-    integration by parts.  The recursion is forward stable here because
-    the division by ``r - 1`` outgrows the multiplication by ``|x|``.
+    For ``|x| B <= _TAIL_UPWARD_MAX``, ``E_1`` comes from the sine and
+    cosine integrals and higher r from ``(r - 1) E_r = e^{-z} - z E_{r-1}``,
+    which scales an error by ``|z| / (r - 1)`` per step: at most
+    ``e^|z| / sqrt(2 pi |z|)`` in all, a few hundred ulps.  Beyond that
+    every ``E_r`` comes from its continued fraction.
     """
-    from scipy.special import sici
-
     xs = np.asarray(xs, dtype=float)
-    ax = np.abs(xs)
-    out = np.empty((r_max + 1, xs.size), dtype=complex)
+    z = 1j * np.abs(xs) * B
+    far = z.imag > _TAIL_UPWARD_MAX
+    zn = z[~far]
+    up = np.empty((r_max + 1, zn.size), dtype=complex)
     with np.errstate(divide="ignore", invalid="ignore"):
-        si, ci = sici(ax * B)
-    c1 = -ci + 1j * (si - 0.5 * math.pi)
-    c1 = np.where(xs > 0.0, c1, np.conj(c1))
-    c1 = np.where(ax > 0.0, c1, 0.0)  # x = 0 only ever needs r >= 2
-    out[0] = np.nan
-    out[1] = c1
-    phase = np.exp(-1j * xs * B)
+        si, ci = sici(zn.imag)
+    # x = 0 only ever needs r >= 2
+    up[1] = np.where(zn != 0.0, -ci + 1j * (si - 0.5 * math.pi), 0.0)
+    phase = np.exp(-zn)
     for r in range(2, r_max + 1):
-        out[r] = (B ** (1 - r) * phase - 1j * xs * out[r - 1]) / (r - 1)
-    return out
+        up[r] = (phase - zn * up[r - 1]) / (r - 1)
+    e = np.empty((r_max + 1, xs.size), dtype=complex)
+    e[0] = np.nan
+    e[1:, ~far] = up[1:]
+    if np.any(far):
+        e[1:, far] = _expint_cf(np.arange(1.0, r_max + 1)[:, None], z[far])
+    out = B ** (1.0 - np.arange(r_max + 1))[:, None] * e
+    return np.where(xs > 0.0, out, np.conj(out))
 
 
 def _fourier_algebraic_tail(xs: np.ndarray, A: complex, alpha: float,
                             n: int, B: float) -> tuple[np.ndarray, float]:
-    """Tail ``int_B^inf Re[e^{-i x b} E_alpha(A b^n)] db`` from the
-    negative-power expansion of the Mittag-Leffler function, plus an
-    error bound covering the omitted terms."""
+    """Tail ``int_B^inf Re[e^{-i x b} E_alpha(A b^n)] db`` for the unit
+    ``A = k_n (-i)^n`` from the negative-power expansion of the
+    Mittag-Leffler function, plus an error bound covering the omitted
+    terms."""
     terms = _FOURIER_TAIL_TERMS
     C = _tail_inverse_power_transforms(xs, B, n * terms)
     out = np.zeros(xs.size)
@@ -512,7 +497,7 @@ def _fourier_algebraic_tail(xs: np.ndarray, A: complex, alpha: float,
         coef = -A ** (-m) * float(rgamma(1.0 - alpha * m))
         out += (coef * C[n * m]).real
     mm = terms + 1
-    rem = (abs(A) ** -mm * abs(float(rgamma(1.0 - alpha * mm)))
+    rem = (abs(float(rgamma(1.0 - alpha * mm)))
            * B ** (1 - n * mm) / (n * mm - 1))
     if n % 2 and 0.5 < alpha < 1.0:
         # exponential component of the expansion, kept below e^-21 by the
@@ -523,12 +508,11 @@ def _fourier_algebraic_tail(xs: np.ndarray, A: complex, alpha: float,
 
 
 def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
-                  B: float, params: MLParams,
-                  state: dict) -> tuple[np.ndarray, np.ndarray]:
-    """Head ``int_0^B Re[e^{-i x b} E_alpha(A b^n)] db`` on composite
-    Gauss-Legendre panels whose edges equidistribute the integrand's
-    accumulated phase, with the error taken from a half-resolution
-    comparison.
+                  B: float, state: dict) -> tuple[np.ndarray, np.ndarray]:
+    """Head ``int_0^B Re[e^{-i x b} E_alpha(A b^n)] db`` for the unit
+    ``A = k_n (-i)^n`` on composite Gauss-Legendre panels whose edges
+    equidistribute the integrand's accumulated phase, with the error taken
+    from a half-resolution comparison.
 
     A fixed node set (rather than adaptive bisection) keeps the number of
     Mittag-Leffler evaluations predictable: the arbitrary-precision
@@ -544,9 +528,9 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
     if n % 2 and 0.5 < alpha < 1.0:
         cosfac = abs(math.cos(math.pi / (2.0 * alpha)))
         sinfac = abs(math.sin(math.pi / (2.0 * alpha)))
-        b_osc = min(((21.0 / cosfac) ** alpha / abs(A)) ** (1.0 / n), B)
+        b_osc = min((21.0 / cosfac) ** (alpha / n), B)
         capped = np.minimum(betas, b_osc)
-        phase = phase + sinfac * (abs(A) * capped ** n) ** (1.0 / alpha)
+        phase = phase + sinfac * capped ** (n / alpha)
     # tiny ramp keeps the phase strictly increasing for the inversion
     phase = phase + (1e-9 / B) * betas
     npanels = int(min(4096, math.ceil(phase[-1] / math.pi) + 8))
@@ -561,7 +545,7 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
         bs = (mid[:, None] + rad[:, None] * half[None, :]).ravel()
         ws = (rad[:, None] * ref[None, :]).ravel()
         z = A * bs.astype(complex) ** n
-        vals, errs, degs = mittag_leffler_grid(z, params)
+        vals, errs, degs = mittag_leffler_grid(z, MLParams(alpha=alpha))
         state["err"] = max(state["err"], float(np.max(errs)))
         state["degraded"] |= bool(np.any(degs))
         phases = np.exp(-1j * np.outer(bs, xs))
@@ -572,50 +556,63 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
     return v_fine, np.abs(v_fine - v_coarse)
 
 
-def solve_fourier_ml(request: SolutionRequest, *,
-                     tol: float = 1e-8) -> SolutionField:
-    """Solution values by inverting the characteristic function:
-    ``u(x, t) = (1/pi) int_0^inf Re[e^{-i x b} E_alpha(k_n (-i b)^n t^alpha)] db``.
+def _fourier_invert(spec: EquationSpec, alpha: float, ys: np.ndarray,
+                    tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Solution at ``t = 1`` by inverting the characteristic function:
+    ``U(y) = (1/pi) int_0^inf Re[e^{-i y b} E_alpha(k_n (-i b)^n)] db``.
 
     The integral is split at a cutoff beyond which the Mittag-Leffler
     factor is replaced by its negative-power expansion, integrated in
-    closed form against the oscillation.  For odd ``n`` at ``alpha = 1``
-    the characteristic function is a pure phase and the inversion is
-    exactly the kernel's own contour integral, which is used directly.
+    closed form against the oscillation.  Returns the values, their
+    errors and the Stokes-degradation flag.
     """
-    spec, alpha, t = request.spec, request.alpha, request.t
     n = spec.n
-    xs = np.asarray(request.x_grid, dtype=float)
-    if alpha == 1.0 and n % 2:
-        vals, kerr, _ = kernel_density_grid(spec, xs, t, min(tol, 1e-10))
-        samples = tuple(_make_sample(spec, float(x), float(v), float(kerr))
-                        for x, v in zip(xs, vals))
-        return SolutionField(request=request, values=samples,
-                             route_used="fourier_ml")
-    A = complex(spec.k) * (-1j) ** n * t ** alpha
-    B = _fourier_cutoff(alpha, n, abs(A))
-    params = MLParams(alpha=alpha)
+    A = complex(spec.k) * (-1j) ** n
+    B = _fourier_cutoff(alpha, n)
     state = {"err": 0.0, "degraded": False}
-    head_vals, head_errs = _fourier_head(xs, A, alpha, n, B, params, state)
-    tail_vals, tail_err = _fourier_algebraic_tail(xs, A, alpha, n, B)
+    head_vals, head_errs = _fourier_head(ys, A, alpha, n, B, state)
+    tail_vals, tail_err = _fourier_algebraic_tail(ys, A, alpha, n, B)
     values = (head_vals + tail_vals) / math.pi
-    errs = (head_errs + tail_err + state["err"] * B) / math.pi + 0.1 * tol
-    samples = tuple(_make_sample(spec, float(x), float(v), float(e))
-                    for x, v, e in zip(xs, values, errs))
-    return SolutionField(request=request, values=samples,
-                         route_used="fourier_ml",
-                         degraded=state["degraded"])
+    errors = (head_errs + tail_err + state["err"] * B) / math.pi + 0.1 * tol
+    return values, errors, state["degraded"]
 
 
 def solve(request: SolutionRequest, *, tol: float = 1e-8) -> SolutionField:
-    """Dispatch on ``request.route``; ``"auto"`` sends even orders to
-    Fourier inversion and odd orders to subordination."""
+    """Solution values and error estimates on the request grid.
+
+    ``request.route`` picks the representation; ``"auto"`` sends even
+    orders to Fourier inversion and odd orders to subordination.  The
+    random time at ``t`` has the law of ``t^alpha`` times the one at
+    ``t = 1``, so ``u(x, t) = s U(x s)`` with ``s = t^(-alpha/n)`` and
+    ``U = u(., 1)``: the chosen route runs once at ``t = 1`` on the
+    mapped grid, with every absolute tolerance divided by ``s``.  At
+    ``alpha = 1`` the time law is a point mass, and for odd ``n`` the
+    characteristic function a pure phase, so there the solution is the
+    kernel itself.
+    """
+    spec, alpha, n = request.spec, request.alpha, request.spec.n
     route = request.route
     if route == "auto":
-        route = "fourier_ml" if request.spec.n % 2 == 0 else "subordination"
-    if route == "fourier_ml":
-        return solve_fourier_ml(request, tol=tol)
-    return solve_subordination(request, tol=tol)
+        route = "fourier_ml" if n % 2 == 0 else "subordination"
+    s = request.t ** (-alpha / n)
+    ys = s * np.asarray(request.x_grid, dtype=float)
+    degraded = False
+    if alpha == 1.0 and (route == "subordination" or n % 2):
+        values, kerr, _ = kernel_density_grid(spec, ys, 1.0,
+                                              min(tol, 1e-10) / s)
+        errors = np.full(ys.size, float(kerr))
+    elif route == "fourier_ml":
+        values, errors, degraded = _fourier_invert(spec, alpha, ys, tol / s)
+    else:
+        values, errors = _subordinate(spec, alpha, ys, tol / s)
+    values, errors = s * values, s * errors
+    if n == 2:
+        # same clamp policy as the kernel: for n = 2 the solution is a true
+        # density, so noise-level negatives are set to zero
+        values[(values < 0.0) & (-values <= 10.0 * errors + 1e-300)] = 0.0
+    values.flags.writeable = errors.flags.writeable = False
+    return SolutionField(request=request, values=values, errors=errors,
+                         route_used=route, degraded=degraded)
 
 
 # ---------------------------------------------------------------------------
@@ -631,8 +628,6 @@ def solution_char_fn(spec: EquationSpec, alpha: float, beta: float,
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     z = complex(spec.k) * (-1j * beta) ** spec.n * t ** alpha
-    if alpha == 1.0:
-        return cmath.exp(z)
     return mittag_leffler(z, MLParams(alpha=alpha))
 
 
@@ -758,7 +753,7 @@ class _GridField:
         self.shape = _SimilarityKernel(spec, tol=1e-13)
         if alpha < 1.0:
             self.prof = _time_profile(alpha)
-            self.u_hi = self.prof.u_clip(t_max)
+            self.u_hi = self.prof.x_clip * t_max ** alpha
         self._key = None
 
     def _build(self, x_nodes: np.ndarray) -> None:
@@ -795,7 +790,8 @@ class _GridField:
         key = tuple(float(v) for v in x_nodes)
         if key != self._key:
             self._build(x_nodes)
-        return self.k_w @ self.prof.density(self.u_nodes, t)
+        return self.k_w @ (t ** -self.alpha * self.prof.profile(
+            self.u_nodes * t ** -self.alpha))
 
 
 def caputo_residual(spec: EquationSpec, alpha: float, x: float,

@@ -404,8 +404,9 @@ def _ml_asymptotic(z: complex, alpha: float, beta: float):
     """Algebraic asymptotic branch, plus the exponential term inside the
     sector |arg z| < alpha*pi.  Returns (value, error_estimate, degraded)."""
     az = abs(z)
-    root = az ** (1.0 / alpha)
-    n_terms = max(2, min(int(0.8 * root / alpha), 160))
+    # from the logarithm: for small alpha the power overflows a float
+    root = math.exp(min(math.log(az) / alpha, 709.0))
+    n_terms = max(2, int(min(0.8 * root / alpha, 160.0)))
     inv = 1.0 / z
     s = 0.0 + 0.0j
     power = inv
@@ -476,7 +477,8 @@ def mittag_leffler_grid(z: np.ndarray, params: MLParams):
         return values, errors, degraded
 
     az = np.abs(z)
-    rootpow = az ** (1.0 / alpha)
+    with np.errstate(over="ignore"):  # inf sends the point to asymptotics
+        rootpow = az ** (1.0 / alpha)
     taylor_ok = rootpow <= _ML_F64_EXPONENT
     asy_ok = rootpow >= _ML_ASY_EXPONENT
 
@@ -567,8 +569,11 @@ def _zolotarev_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights
 
 
-def _zolotarev_values(x: np.ndarray, alpha: float) -> np.ndarray:
-    """Small-argument one-sided stable density at unit scale.
+def _zolotarev_values(w: np.ndarray, alpha: float,
+                      log_scale: float = 0.0) -> np.ndarray:
+    """Small-argument one-sided stable density at scale ``u``, given as
+    ``log_scale = -log(u) / alpha``:
+    ``f(w; u) = e^{log_scale} f(x; 1)`` with ``x = w e^{log_scale}``, and
 
     f(x; 1) = (alpha / ((1-alpha) pi)) x^{-1/(1-alpha)}
               * int_0^pi A(theta) exp(-x^{-alpha/(1-alpha)} A(theta)) dtheta
@@ -577,13 +582,14 @@ def _zolotarev_values(x: np.ndarray, alpha: float) -> np.ndarray:
     The integrand is positive, so no cancellation occurs, which is exactly
     why this route covers the region where the series loses digits.
     """
-    x = np.asarray(x, dtype=float)
     frac = alpha / (1.0 - alpha)
-    # the prefactor and the multiplier inside the exponential stay in log
-    # form: near alpha = 1 their powers of x overflow even where the
-    # density itself is representable
-    log_x = np.log(x)
-    log_pref = math.log(frac / math.pi) - log_x / (1.0 - alpha)
+    # the scale, the prefactor and the multiplier inside the exponential
+    # stay in log form: near alpha = 0 the scale underflows and near
+    # alpha = 1 the powers of x overflow, even where the density itself is
+    # representable
+    log_x = np.log(np.asarray(w, dtype=float)) + log_scale
+    log_pref = (math.log(frac / math.pi) + log_scale
+                - log_x / (1.0 - alpha))
     log_cs = -frac * log_x
 
     def eval_rule(n_nodes: int) -> np.ndarray:
@@ -643,9 +649,8 @@ def stable_one_sided_density_grid(w: np.ndarray, s: StableOneSided) -> np.ndarra
             use_integral = use_integral.copy()
             use_integral[np.nonzero(try_series)[0][np.nonzero(bad)[0]]] = True
     if np.any(use_integral):
-        scale = s.u ** (-1.0 / s.alpha)
-        values[use_integral] = scale * _zolotarev_values(
-            w[use_integral] * scale, s.alpha)
+        values[use_integral] = _zolotarev_values(
+            w[use_integral], s.alpha, -math.log(s.u) / s.alpha)
     return values
 
 

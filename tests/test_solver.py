@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import math
 import time
+from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -27,6 +29,7 @@ from fracheat import (
     ConvergenceError,
     DomainError,
     EquationSpec,
+    FracheatError,
     SolutionRequest,
     caputo_residual,
     kernel_density_grid,
@@ -34,8 +37,6 @@ from fracheat import (
     solution_char_fn,
     solution_moment,
     solve,
-    solve_fourier_ml,
-    solve_subordination,
 )
 from fracheat import solver, specfun
 from fracheat._errors import StencilUnderflowError
@@ -66,6 +67,13 @@ def gaussian(xs: np.ndarray, t: float) -> np.ndarray:
     return np.exp(-xs * xs / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
+def solve_by(route: str, req: SolutionRequest, **kwargs):
+    return solve(replace(req, route=route), **kwargs)
+
+
+ROUTES = ("subordination", "fourier_ml")
+
+
 # ---------------------------------------------------------------------------
 # degenerate order: alpha = 1 must reproduce the plain kernel
 # ---------------------------------------------------------------------------
@@ -80,7 +88,7 @@ def test_degenerate_order_heat_kernel():
 def test_degenerate_order_signed_kernel():
     xs = np.linspace(-4.0, 4.0, 9)
     req = SolutionRequest(EquationSpec(3), 1.0, 0.8, tuple(xs))
-    field = solve_subordination(req)
+    field = solve_by("subordination", req)
     kern, _, _ = kernel_density_grid(EquationSpec(3), xs, 0.8, 1e-10)
     assert_allclose(field.grid_values(), kern, rtol=0.0, atol=1e-12)
 
@@ -89,17 +97,17 @@ def test_degenerate_order_signed_kernel():
 # pinned origin values
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("solver", [solve_subordination, solve_fourier_ml])
-def test_origin_value_half_order(solver):
-    req = SolutionRequest(EquationSpec(2), 0.5, 1.0, (0.0,))
-    field = solver(req)
-    assert_allclose(field.values[0].value, HALF_ORIGIN, rtol=0.0, atol=1e-9)
+@pytest.mark.parametrize("route", ROUTES)
+def test_origin_value_half_order(route):
+    req = SolutionRequest(EquationSpec(2), 0.5, 1.0, (0.0,), route=route)
+    field = solve(req)
+    assert_allclose(field.values[0], HALF_ORIGIN, rtol=0.0, atol=1e-9)
 
 
 def test_origin_value_classical_order():
-    req = SolutionRequest(EquationSpec(2), 1.0, 1.0, (0.0,))
-    field = solve_fourier_ml(req)
-    assert_allclose(field.values[0].value, HEAT_ORIGIN, rtol=0.0, atol=1e-12)
+    req = SolutionRequest(EquationSpec(2), 1.0, 1.0, (0.0,), route="fourier_ml")
+    field = solve(req)
+    assert_allclose(field.values[0], HEAT_ORIGIN, rtol=0.0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -107,23 +115,22 @@ def test_origin_value_classical_order():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("alpha", [0.4, 0.5, 0.75])
-@pytest.mark.parametrize("t", [0.7, 1.3])
+@pytest.mark.parametrize("t", [0.05, 0.7, 1.3, 20.0])
 def test_wright_closed_form_both_routes(alpha, t):
     xs = np.linspace(-3.0, 3.0, 13)
     closed = wright_closed_form(xs, alpha, t)
     req = SolutionRequest(EquationSpec(2), alpha, t, tuple(xs))
-    assert_allclose(solve_subordination(req).grid_values(), closed,
-                    rtol=0.0, atol=1e-8)
-    assert_allclose(solve_fourier_ml(req).grid_values(), closed,
-                    rtol=0.0, atol=1e-8)
+    for route in ROUTES:
+        assert_allclose(solve_by(route, req).grid_values(), closed,
+                        rtol=0.0, atol=1e-8)
 
 
 @pytest.mark.parametrize("n, alpha", [(3, 0.7), (4, 0.8)])
 def test_routes_cross_validate(n, alpha):
     xs = np.linspace(-4.0, 4.0, 9)
     req = SolutionRequest(EquationSpec(n), alpha, 1.0, tuple(xs))
-    sub = solve_subordination(req).grid_values()
-    fou = solve_fourier_ml(req).grid_values()
+    sub = solve_by("subordination", req).grid_values()
+    fou = solve_by("fourier_ml", req).grid_values()
     assert_allclose(sub, fou, rtol=0.0, atol=1e-7)
 
 
@@ -132,8 +139,8 @@ def test_error_estimates_dominate_truth():
     xs = np.linspace(-4.0, 4.0, 9)
     closed = wright_closed_form(xs, 0.5, 1.0)
     req = SolutionRequest(EquationSpec(2), 0.5, 1.0, tuple(xs))
-    for solver in (solve_subordination, solve_fourier_ml):
-        field = solver(req)
+    for route in ROUTES:
+        field = solve_by(route, req)
         diff = np.abs(field.grid_values() - closed)
         assert np.all(diff <= field.grid_errors() + 1e-12)
 
@@ -142,8 +149,8 @@ def test_error_estimates_dominate_truth():
 # the random-time law inside subordination
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("alpha", [0.01, 0.1, 0.3, 0.5, 0.6, 0.9,
-                                   0.95, 0.97, 0.99, 0.995, 0.998])
+@pytest.mark.parametrize("alpha", [0.001, 0.003, 0.01, 0.1, 0.3, 0.5, 0.6,
+                                   0.9, 0.95, 0.97, 0.99, 0.995, 0.998])
 def test_time_profile_matches_series_routes(alpha):
     """The stable-duality profile against the series routes inside their
     guards: spectrally negative for 1/2 <= alpha <= 0.9, Wright elsewhere
@@ -162,7 +169,7 @@ def test_subordination_near_alpha_one(alpha):
     xs = np.linspace(-4.0, 4.0, 9)
     req = SolutionRequest(EquationSpec(2), alpha, 1.0, tuple(xs),
                           route="subordination")
-    field = solve_subordination(req)
+    field = solve(req)
     closed = wright_closed_form(xs, alpha, 1.0)
     # the closed form is good to ~1e-10 relative inside its guard
     bound = field.grid_errors() + 1e-10 * np.abs(closed)
@@ -182,7 +189,7 @@ def test_time_profile_refusal_comes_before_quadrature(monkeypatch):
                           route="subordination")
     start = time.perf_counter()
     with pytest.raises(ConvergenceError):
-        solve_subordination(req)
+        solve(req)
     assert time.perf_counter() - start < 10.0
 
 
@@ -195,7 +202,7 @@ def test_subordination_stays_in_float64(monkeypatch):
     # an alpha no other test builds, so the profile is built here
     req = SolutionRequest(EquationSpec(3), 0.57, 1.3, (-1.0, 0.0, 2.0),
                           route="subordination")
-    field = solve_subordination(req)
+    field = solve(req)
     assert np.all(np.isfinite(field.grid_values()))
 
 
@@ -206,13 +213,14 @@ def test_subordination_stays_in_float64(monkeypatch):
 def test_route_dispatch():
     xs = (-1.0, 0.0, 2.0)
     even = solve(SolutionRequest(EquationSpec(2), 0.6, 1.0, xs))
-    assert even.route_used == ("fourier_ml",) * 3
+    assert even.route_used == "fourier_ml"
     odd = solve(SolutionRequest(EquationSpec(3), 0.6, 1.0, xs))
-    assert odd.route_used == ("subordination",) * 3
-    assert len(odd.route_used) == len(odd.values)
+    assert odd.route_used == "subordination"
+    assert odd.values.shape == odd.errors.shape == (3,)
+    assert not odd.values.flags.writeable
     pinned = solve(SolutionRequest(EquationSpec(2), 0.6, 1.0, xs,
                                    route="subordination"))
-    assert pinned.route_used == ("subordination",) * 3
+    assert pinned.route_used == "subordination"
     assert even.degraded is False
 
 
@@ -297,7 +305,7 @@ def test_even_grid_invariants():
     h = 0.125
     xs = np.arange(-16.0, 16.0 + h, h)
     req = SolutionRequest(spec, 0.6, 1.0, tuple(xs))
-    u = solve_fourier_ml(req).grid_values()
+    u = solve_by("fourier_ml", req).grid_values()
     assert abs(simpson(u, x=xs) - 1.0) < 1e-5
     for r in (2, 4):
         want = solution_moment(spec, 0.6, r, 1.0)
@@ -316,7 +324,7 @@ def test_signed_grid_invariants():
     h = 0.2
     xs = np.arange(-16.0, 72.0 + h, h)
     req = SolutionRequest(spec, 0.5, 1.0, tuple(xs))
-    u = solve_subordination(req, tol=1e-9).grid_values()
+    u = solve_by("subordination", req, tol=1e-9).grid_values()
     assert abs(simpson(u, x=xs) - 1.0) < 1e-6
     for r in (3, 6):
         want = solution_moment(spec, 0.5, r, 1.0)
@@ -330,7 +338,7 @@ def test_gaussian_family_nonnegative():
     for alpha in (0.4, 0.7, 1.0):
         xs = np.linspace(-6.0, 6.0, 17)
         req = SolutionRequest(EquationSpec(2), alpha, 1.0, tuple(xs))
-        u = solve_fourier_ml(req).grid_values()
+        u = solve_by("fourier_ml", req).grid_values()
         assert np.min(u) >= -1e-12
 
 
@@ -340,8 +348,8 @@ def test_gaussian_family_nonnegative():
 
 def test_far_field_cross_route():
     req = SolutionRequest(EquationSpec(3), 0.5, 1.0, (-30.0, 30.0))
-    sub = solve_subordination(req).grid_values()
-    fou = solve_fourier_ml(req).grid_values()
+    sub = solve_by("subordination", req).grid_values()
+    fou = solve_by("fourier_ml", req).grid_values()
     assert_allclose(sub, fou, rtol=0.0, atol=1e-6)
     # the oscillatory side carries visible signal at x = 30
     assert abs(sub[1]) > 1e-7
@@ -349,9 +357,47 @@ def test_far_field_cross_route():
 
 def test_deep_tail_honest_zero():
     req = SolutionRequest(EquationSpec(3), 0.9, 1.0, (95.0,))
-    field = solve_subordination(req)
-    assert abs(field.values[0].value) <= field.values[0].error_estimate + 1e-12
-    assert field.values[0].error_estimate < 1e-10
+    field = solve_by("subordination", req)
+    assert abs(field.values[0]) <= field.errors[0] + 1e-12
+    assert field.errors[0] < 1e-10
+
+
+def test_far_field_fourier_honest_zero():
+    """n = 2 decays like exp(-c |x|^(2/(2-alpha))): far out the Fourier
+    route must return zero within a small bar, on both sides."""
+    xs = (-200.0, -100.0, -43.0, 43.0, 100.0, 200.0)
+    req = SolutionRequest(EquationSpec(2), 0.6, 1.0, xs, route="fourier_ml")
+    field = solve(req)
+    assert np.all(np.abs(field.values) <= field.errors)
+    assert np.all(field.errors < 1e-8)
+
+
+@pytest.mark.parametrize("xb", [0.1, 1.0, 6.9, 7.1, 12.5, 47.3, 272.0,
+                                2000.0])
+def test_tail_transforms_match_expint(xb):
+    """C_r(x) = B^{1-r} E_r(i x B) for every r the tail uses, on both
+    sides of the pivot between upward and downward recurrence."""
+    B = 1.7
+    x = xb / B
+    got = solver._tail_inverse_power_transforms(np.array([-x, x]), B, 48)
+    for r in range(1, 49):
+        want = complex(mpmath.expint(r, 1j * xb) * mpmath.mpf(B) ** (1 - r))
+        assert_allclose(got[r, 1], want, rtol=1e-12, atol=0.0)
+        assert_allclose(got[r, 0], want.conjugate(), rtol=1e-12, atol=0.0)
+
+
+def test_fourier_small_alpha_within_bars_or_refuses():
+    """At alpha = 0.005 |z|^(1/alpha) overflows a float; the route must
+    answer within its bars or refuse with a typed error."""
+    xs = np.linspace(-3.0, 3.0, 7)
+    req = SolutionRequest(EquationSpec(2), 0.005, 1.0, tuple(xs),
+                          route="fourier_ml")
+    try:
+        field = solve(req)
+    except FracheatError:
+        return
+    closed = wright_closed_form(xs, 0.005, 1.0)
+    assert np.all(np.abs(field.values - closed) <= field.errors)
 
 
 # ---------------------------------------------------------------------------
