@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct
 from scipy.special import gamma as gamma_fn, rgamma, sici
@@ -31,6 +32,7 @@ from .kernel import (
     _phase_point,
     kernel_density_grid,
     kernel_laplace,
+    make_equation_spec,
 )
 from .quadrature import (
     JacobiWeight,
@@ -58,18 +60,32 @@ __all__ = [
 
 _SOLVE_ROUTES = ("subordination", "fourier_ml", "auto")
 
-#: tolerance for the shared t = 1 kernel profile evaluations, and for the
-#: time-law profile fit
+#: tolerance of the time-law profile fit and of the kernel contour
 _KERNEL_TOL = 1e-11
 
 #: time-law profile: starting Chebyshev nodes and their cap under doubling
 _PROFILE_NODES = 97
 _PROFILE_MAX_NODES = 769
 
+#: kernel profile: caps on a panel's width and stationary-phase increment,
+#: starting Chebyshev nodes per panel and their cap under doubling, points
+#: per contour call while building, and the fit tolerance (the contour's
+#: own rounding sits near 1e-14)
+_KERNEL_PANEL = 4.0
+_KERNEL_PHASE = 6.0
+_KERNEL_NODES = 20
+_KERNEL_MAX_NODES = 153
+_KERNEL_CHUNK = 256
+_KERNEL_FIT_TOL = 1e-13
+
 #: the oscillatory-side head starts at this stationary-phase angle
 _OSC_PHASE0 = 6.0 * math.pi
 _OSC_BLOCKS = 72
 _OSC_NODES = 10
+
+#: Gauss-Legendre rules, built once
+_GL_OSC = leggauss(_OSC_NODES)
+_GL16 = leggauss(16)
 
 #: zero the kernel profile on decaying sides once the saddle bound
 #: guarantees |phi| <= e^-70
@@ -105,13 +121,15 @@ class SolutionRequest:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.t > 0.0:
-            raise DomainError(f"t must be positive, got {self.t}")
+        if not 0.0 < self.t < math.inf:
+            raise DomainError(f"t must be positive and finite, got {self.t}")
         if self.route not in _SOLVE_ROUTES:
             raise DomainError(f"unknown route {self.route!r}")
         xs = np.atleast_1d(np.asarray(self.x_grid, dtype=float))
         if xs.size == 0:
             raise DomainError("x_grid must not be empty")
+        if not np.all(np.isfinite(xs)):
+            raise DomainError("x_grid must be finite")
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("x_grid must be strictly increasing")
         object.__setattr__(self, "x_grid", tuple(float(v) for v in xs))
@@ -145,44 +163,152 @@ class SolutionField:
 # Shared evaluators for the subordination integral
 # ---------------------------------------------------------------------------
 
-class _SimilarityKernel:
-    """Kernel evaluations through the t = 1 self-similar profile.
+class _Chebyshev:
+    """Piecewise Chebyshev interpolant of ``f`` on the panels between
+    consecutive ``edges``, zero outside ``[edges[0], edges[-1]]``.
 
-    ``p_n(x, u) = u^{-1/n} phi(x u^{-1/n})`` with ``phi = p_n(., 1)``, so
-    a whole array of u-nodes at fixed x costs one batched contour call.
-    Profile arguments on a superexponentially decaying side beyond the
-    saddle bound are zeroed without evaluation.
+    Every panel starts at ``npts`` Chebyshev-Lobatto nodes.  ``fit_err`` is
+    measured against direct evaluations midway (in angle) between every
+    pair of nodes; a panel that misses ``tol`` doubles its nodes, and one
+    that still misses it at ``max_npts`` refuses the fit.
+    Doubling nests: the new rung's nodes are the old nodes and the old
+    midway probes, so each rung evaluates only its own new probes.  ``f``
+    sees one call for the first rung's nodes and one per rung for the
+    probes of every panel still refining.  ``sup`` is the largest
+    ``|f|`` over the final nodes.
     """
 
-    def __init__(self, spec: EquationSpec, tol: float = _KERNEL_TOL) -> None:
-        self.spec = spec
-        self.tol = tol
-        c, nu = _decay_rate(spec.n, 1.0)
-        self.clip_abs = (_DECAY_CLIP_LOG / c) ** (1.0 / nu)
-        if spec.n % 2:
-            self.osc_dir = -spec.k * (-1) ** ((spec.n - 1) // 2)
-        else:
-            self.osc_dir = 0
-        self.profile_sup = 0.0
+    def __init__(self, f, edges, npts: int, max_npts: int, tol: float,
+                 what: str) -> None:
+        self.edges = np.asarray(edges, dtype=float)
+        self._lo = lo = self.edges[:-1]
+        self._rad = rad = 0.5 * (self.edges[1:] - self.edges[:-1])
 
-    def profile(self, y) -> np.ndarray:
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.zeros_like(y)
-        decaying = np.abs(y) > self.clip_abs
+        def f_at(panels, angles):
+            xs = lo[panels, None] + rad[panels, None] * (1.0 - np.cos(angles))
+            return np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+
+        coefs = [None] * lo.size
+        self.fit_err = self.sup = 0.0
+        active = np.arange(lo.size)
+        vals = f_at(active, np.pi * np.arange(npts) / (npts - 1))
+        while True:
+            # the nodes are the Chebyshev-Lobatto points in reverse order,
+            # so a type-1 DCT gives the interpolant's coefficients
+            coef = dct(vals[:, ::-1], type=1, axis=-1) / (npts - 1)
+            coef[:, [0, -1]] *= 0.5
+            angles = np.pi * (np.arange(npts - 1) + 0.5) / (npts - 1)
+            probes = f_at(active, angles)
+            errs = np.max(np.abs(chebval(-np.cos(angles), coef.T) - probes),
+                          axis=1)
+            done = errs <= tol
+            for j, c in zip(active[done], coef[done]):
+                coefs[j] = c
+            if np.any(done):
+                self.fit_err = max(self.fit_err, float(np.max(errs[done])))
+                self.sup = max(self.sup, float(np.max(np.abs(vals[done]))))
+            if np.all(done):
+                break
+            if npts >= max_npts:
+                raise ConvergenceError(
+                    f"{what} misses the tolerance {tol:g} with "
+                    f"{npts} nodes (fit error {float(np.max(errs)):.2g})")
+            active, vals, probes = active[~done], vals[~done], probes[~done]
+            npts = 2 * npts - 1
+            merged = np.empty((active.size, npts))
+            merged[:, 0::2], merged[:, 1::2] = vals, probes
+            vals = merged
+        self._coef = np.zeros((lo.size, max(c.size for c in coefs)))
+        for j, c in enumerate(coefs):
+            self._coef[j, :c.size] = c
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        out = np.zeros_like(x)
+        ok = (x >= self.edges[0]) & (x <= self.edges[-1])
+        if np.any(ok):
+            xs = x[ok]
+            j = np.minimum(np.searchsorted(self.edges, xs, side="right") - 1,
+                           self._lo.size - 1)
+            # one panel needs no per-point coefficient rows
+            coef = self._coef[0] if self._lo.size == 1 else self._coef[j].T
+            out[ok] = chebval((xs - self._lo[j]) / self._rad[j] - 1.0, coef,
+                              tensor=False)
+        return out
+
+
+def _kernel_sides(spec: EquationSpec) -> tuple[float, int]:
+    """``(clip_abs, osc_dir)`` of ``phi = p_n(., 1)``: beyond ``clip_abs``
+    a superexponentially decaying side is below ``e^-70`` by the saddle
+    bound, and ``osc_dir`` is the sign of the algebraically decaying,
+    oscillatory side of odd ``n`` (0 for even ``n``)."""
+    c, nu = _decay_rate(spec.n, 1.0)
+    clip_abs = (_DECAY_CLIP_LOG / c) ** (1.0 / nu)
+    if spec.n % 2 == 0:
+        return clip_abs, 0
+    return clip_abs, -spec.k * (-1) ** ((spec.n - 1) // 2)
+
+
+class _KernelProfile(_Chebyshev):
+    """The t = 1 kernel ``phi = p_n(., 1)`` as a piecewise Chebyshev fit.
+
+    Self-similarity gives ``p_n(x, u) = u^{-1/n} phi(x u^{-1/n})``, so one
+    fit per ``(n, k)`` serves every subordination quadrature node.  It
+    covers every argument the subordination integral evaluates: a decaying
+    side out to the saddle bound ``clip_abs`` and the oscillatory side of
+    odd ``n`` out to the last phase-block edge of its
+    :class:`_OscillatoryTail`; beyond those points it is zero.  The
+    contour runs in chunks sorted by ``|y|``, because each call sizes its
+    contour for its largest point.
+    """
+
+    def __init__(self, n: int, k: int) -> None:
+        self.spec = make_equation_spec(n, k)
+        clip_abs, self.osc_dir = _kernel_sides(self.spec)
+        lo, hi = -clip_abs, clip_abs
         if self.osc_dir:
-            decaying &= np.sign(y) != self.osc_dir
-        keep = ~decaying
-        if np.any(keep):
-            vals, _, _ = kernel_density_grid(self.spec, y[keep], 1.0, self.tol)
-            out[keep] = vals
-            self.profile_sup = max(self.profile_sup,
-                                   float(np.max(np.abs(vals))))
+            phases = _OSC_PHASE0 + math.pi * np.arange(_OSC_BLOCKS + 1)
+            osc_edges = np.array([_phase_point(n, 1.0, p) for p in phases])
+            if self.osc_dir > 0:
+                hi = float(osc_edges[-1])
+            else:
+                lo = -float(osc_edges[-1])
+
+        def side(end):
+            # a panel ends where either its width or its stationary-phase
+            # increment reaches its cap, whichever comes first
+            cuts = [0.0]
+            while cuts[-1] < end:
+                m = len(cuts)
+                cuts.append(min(m * _KERNEL_PANEL,
+                                _phase_point(n, 1.0, m * _KERNEL_PHASE)))
+            return np.append(cuts[1:-1], end)
+
+        edges = np.concatenate((-side(-lo)[::-1], [0.0], side(hi)))
+        super().__init__(self._contour, edges, _KERNEL_NODES,
+                         _KERNEL_MAX_NODES, _KERNEL_FIT_TOL,
+                         f"kernel profile of n={n}, k={k}")
+        self.osc = (_OscillatoryTail(self, osc_edges) if self.osc_dir
+                    else None)
+
+    def _contour(self, ys: np.ndarray) -> np.ndarray:
+        out = np.empty_like(ys)
+        order = np.argsort(np.abs(ys))
+        for chunk in np.array_split(order, -(-ys.size // _KERNEL_CHUNK)):
+            out[chunk], _, _ = kernel_density_grid(self.spec, ys[chunk], 1.0,
+                                                   _KERNEL_TOL)
         return out
 
     def at(self, x: float, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        scale = u ** (-1.0 / self.spec.n)
-        return scale * self.profile(x * scale)
+        """``p_n(x, u)`` on an array of u-nodes."""
+        scale = np.asarray(u, dtype=float) ** (-1.0 / self.spec.n)
+        return scale * self(x * scale)
+
+
+@lru_cache(maxsize=32)
+def _kernel_profile(n: int, k: int) -> _KernelProfile:
+    """Memoized kernel profile: immutable once built, reused across solves."""
+    return _KernelProfile(n, k)
 
 
 def time_density_grid(alpha: float, u) -> np.ndarray:
@@ -209,55 +335,19 @@ class _TimeProfile:
     ``F`` from :func:`time_density_grid` is entire, so an interpolant
     built once replaces per-node work for every later quadrature
     evaluation (other times follow from ``vbar(u, t) = t^-alpha
-    F(u t^-alpha)``).  One fit covers ``[0, x_clip]``, where ``F(x_clip)``
-    is ~e^-46; beyond it the profile is clamped to zero, and ``tail_mass``
-    is the clamped mass.  ``fit_err`` is measured against direct evaluations
-    midway (in angle) between every pair of nodes; the node count doubles
-    until it meets the kernel tolerance, and a fit that cannot is refused.
-    Doubling nests: the new rung's nodes are the old nodes and the old
-    midway probes, so each rung evaluates only its own new probes.
+    F(u t^-alpha)``).  One :class:`_Chebyshev` panel covers
+    ``[0, x_clip]``, where ``F(x_clip)`` is ~e^-46; beyond it the profile
+    is clamped to zero, and ``tail_mass`` is the clamped mass.
     """
 
     def __init__(self, alpha: float) -> None:
         self.x_clip = (46.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
-        npts = _PROFILE_NODES
-
-        def density_at(angles):
-            return time_density_grid(
-                alpha, 0.5 * self.x_clip * (1.0 - np.cos(angles)))
-
-        vals = density_at(np.pi * np.arange(npts) / (npts - 1))
-        while True:
-            # the nodes are the Chebyshev-Lobatto points in reverse order,
-            # so a type-1 DCT gives the interpolant's coefficients
-            self._coef = dct(vals[::-1], type=1) / (npts - 1)
-            self._coef[[0, -1]] *= 0.5
-            angles = np.pi * (np.arange(npts - 1) + 0.5) / (npts - 1)
-            probes = density_at(angles)
-            fitted = np.polynomial.chebyshev.chebval(-np.cos(angles),
-                                                     self._coef)
-            self.fit_err = float(np.max(np.abs(fitted - probes)))
-            if self.fit_err <= _KERNEL_TOL:
-                break
-            if npts >= _PROFILE_MAX_NODES:
-                raise ConvergenceError(
-                    f"time-law profile at alpha={alpha} misses the tolerance "
-                    f"{_KERNEL_TOL:g} with {npts} nodes "
-                    f"(fit error {self.fit_err:.2g})")
-            npts = 2 * npts - 1
-            merged = np.empty(npts)
-            merged[0::2], merged[1::2] = vals, probes
-            vals = merged
+        self.profile = _Chebyshev(lambda u: time_density_grid(alpha, u),
+                                  (0.0, self.x_clip), _PROFILE_NODES,
+                                  _PROFILE_MAX_NODES, _KERNEL_TOL,
+                                  f"time-law profile at alpha={alpha}")
+        self.fit_err = self.profile.fit_err
         self.tail_mass = _survival_probability(alpha, self.x_clip)
-
-    def profile(self, xstar) -> np.ndarray:
-        xstar = np.atleast_1d(np.asarray(xstar, dtype=float))
-        out = np.zeros_like(xstar)
-        ok = (xstar >= 0.0) & (xstar <= self.x_clip)
-        if np.any(ok):
-            out[ok] = np.polynomial.chebyshev.chebval(
-                2.0 * xstar[ok] / self.x_clip - 1.0, self._coef)
-        return out
 
 
 @lru_cache(maxsize=32)
@@ -288,38 +378,30 @@ class _OscillatoryTail:
     ``n |x|^{n-1} int_{y0}^inf y^{-n} phi(s y) w((|x|/y)^n) dy`` with
     ``s`` the oscillatory side sign.  Block edges sit at stationary-phase
     angles ``6 pi, 7 pi, ...``; the profile values on the block nodes are
-    cached once per solve and the alternating block sums are accelerated
-    by iterated averaging.
+    taken once per kernel profile and the alternating block sums are
+    accelerated by iterated averaging.
     """
 
-    def __init__(self, shape: _SimilarityKernel) -> None:
-        self.shape = shape
-        n = shape.spec.n
-        phases = _OSC_PHASE0 + math.pi * np.arange(_OSC_BLOCKS + 1)
-        self.edges = np.array([_phase_point(n, 1.0, p) for p in phases])
-        half, ref = leggauss(_OSC_NODES)
+    def __init__(self, kernel: _KernelProfile, edges: np.ndarray) -> None:
+        self.kernel = kernel
+        self.edges = edges
+        half, ref = _GL_OSC
         mid = 0.5 * (self.edges[1:] + self.edges[:-1])
         rad = 0.5 * (self.edges[1:] - self.edges[:-1])
         self.nodes = (mid[:, None] + rad[:, None] * half[None, :]).ravel()
         self.node_weights = (rad[:, None] * ref[None, :]).ravel()
-        self._profile_vals = None
-
-    @property
-    def profile_vals(self) -> np.ndarray:
-        if self._profile_vals is None:
-            self._profile_vals = self.shape.profile(
-                float(self.shape.osc_dir) * self.nodes)
-        return self._profile_vals
+        self.profile_vals = kernel(float(kernel.osc_dir) * self.nodes)
 
     def head(self, x: float, weight, y_start: float) -> tuple[float, float]:
         """Integral of ``p_n(x, u) weight(u)`` over ``(0, (|x|/y_start)^n]``."""
-        n = self.shape.spec.n
+        kernel = self.kernel
+        n = kernel.spec.n
         ax = abs(x)
         pref = n * ax ** (n - 1)
 
         def strip(ys):
             ys = np.asarray(ys, dtype=float)
-            pv = self.shape.profile(float(self.shape.osc_dir) * ys)
+            pv = kernel(float(kernel.osc_dir) * ys)
             wv = weight((ax / ys) ** n)
             return pref * ys ** (-n) * pv * wv
 
@@ -349,10 +431,8 @@ class _OscillatoryTail:
         return part_val + tail_val, part_err + tail_err
 
 
-def _integrate_against_kernel(shape: _SimilarityKernel,
-                              osc: _OscillatoryTail | None,
-                              x: float, weight, u_hi: float,
-                              tol: float) -> tuple[float, float]:
+def _integrate_against_kernel(kernel: _KernelProfile, x: float, weight,
+                              u_hi: float, tol: float) -> tuple[float, float]:
     """``int_0^{u_hi} p_n(x, u) weight(u) du`` with endpoint care.
 
     At ``x = 0`` the kernel is exactly ``phi(0) u^{-1/n}`` and the
@@ -361,31 +441,32 @@ def _integrate_against_kernel(shape: _SimilarityKernel,
     blocks; on decaying sides the integrand vanishes there and plain
     adaptive quadrature suffices.
     """
-    n = shape.spec.n
+    n = kernel.spec.n
     if x == 0.0:
-        # p_n(0, u) is exactly phi(0) u^{-1/n}; the singular factor is the
-        # Gauss-Jacobi weight and the remaining integrand is smooth
-        phi0 = float(shape.profile(np.zeros(1))[0])
+        # the singular factor is the Gauss-Jacobi weight and the remaining
+        # integrand is smooth; phi(0) comes from the contour itself
+        phi0, _, _ = kernel_density_grid(kernel.spec, np.zeros(1), 1.0,
+                                         _KERNEL_TOL)
         res = integrate_jacobi_singular(
-            lambda u: phi0 * weight(u), 0.0, u_hi,
+            lambda u: float(phi0[0]) * weight(u), 0.0, u_hi,
             JacobiWeight(exponent=-1.0 / n, endpoint="left"), tol)
         return res.value, res.error_estimate
-    if shape.osc_dir and math.copysign(1.0, x) == shape.osc_dir:
-        y0 = float(osc.edges[0])
+    if kernel.osc_dir and math.copysign(1.0, x) == kernel.osc_dir:
+        y0 = float(kernel.osc.edges[0])
         u_osc = (abs(x) / y0) ** n
         value = err = 0.0
         if u_osc < u_hi:
             body = integrate_adaptive(
-                lambda u: shape.at(x, u) * weight(u), u_osc, u_hi, 0.5 * tol)
+                lambda u: kernel.at(x, u) * weight(u), u_osc, u_hi, 0.5 * tol)
             value += body.value
             err += body.error_estimate
             y_start = y0
         else:
             y_start = abs(x) * u_hi ** (-1.0 / n)
-        hv, he = osc.head(x, weight, y_start)
+        hv, he = kernel.osc.head(x, weight, y_start)
         return value + hv, err + he
     res = integrate_adaptive(
-        lambda u: shape.at(x, u) * weight(u), 0.0, u_hi, tol)
+        lambda u: kernel.at(x, u) * weight(u), 0.0, u_hi, tol)
     return res.value, res.error_estimate
 
 
@@ -397,21 +478,24 @@ def _subordinate(spec: EquationSpec, alpha: float, ys: np.ndarray,
                  tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Solution at ``t = 1`` as the kernel integrated against the
     random-time density: ``U(y) = int_0^inf p_n(y, u) F(u) du``."""
+    kernel = _kernel_profile(spec.n, spec.k)
     prof = _time_profile(alpha)
-    shape = _SimilarityKernel(spec)
-    osc = _OscillatoryTail(shape) if shape.osc_dir else None
     n = spec.n
     # mass clamped beyond the guard, times a kernel amplitude bound, plus
     # the measured interpolation error against the kernel's absolute
-    # u-integral
+    # u-integral; and the kernel fit error against
+    # int u^(-1/n) F(u) du = E[T^(-1/n)] = Gamma(1 - 1/n) / Gamma(1 - alpha/n)
     clip_err = (prof.tail_mass * prof.x_clip ** (-1.0 / n)
                 + prof.fit_err * prof.x_clip ** (1.0 - 1.0 / n) * n / (n - 1.0))
+    fixed_err = (2.0 * max(kernel.sup, 0.5) * clip_err
+                 + kernel.fit_err * float(gamma_fn(1.0 - 1.0 / n)
+                                          / gamma_fn(1.0 - alpha / n)))
     values = np.empty(ys.size)
     errors = np.empty(ys.size)
     for i, y in enumerate(ys):
         values[i], err = _integrate_against_kernel(
-            shape, osc, float(y), prof.profile, prof.x_clip, 0.5 * tol)
-        errors[i] = err + 2.0 * max(shape.profile_sup, 0.5) * clip_err
+            kernel, float(y), prof.profile, prof.x_clip, 0.5 * tol)
+        errors[i] = err + fixed_err
     return values, errors
 
 
@@ -539,7 +623,7 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
     edges[0], edges[-1] = 0.0, B
 
     def transform(es: np.ndarray) -> np.ndarray:
-        half, ref = leggauss(16)
+        half, ref = _GL16
         mid = 0.5 * (es[1:] + es[:-1])
         rad = 0.5 * (es[1:] - es[:-1])
         bs = (mid[:, None] + rad[:, None] * half[None, :]).ravel()
@@ -672,24 +756,13 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
         raise DomainError(f"Laplace parameter must be positive, got {s}")
     closed = s ** (alpha - 1.0) * kernel_laplace(spec, x, s ** alpha)
     t_cut = 45.0 / s
-    shape = _SimilarityKernel(spec)
-    n = spec.n
+    kernel = _kernel_profile(spec.n, spec.k)
     if alpha == 1.0:
-        if x == 0.0:
-            phi0 = float(shape.profile(np.zeros(1))[0])
-            res = integrate_jacobi_singular(
-                lambda ts: phi0 * np.exp(-s * np.asarray(ts, dtype=float)),
-                0.0, t_cut, JacobiWeight(exponent=-1.0 / n, endpoint="left"),
-                0.1 * tol)
-            return abs(res.value - closed)
-
-        def f(ts):
-            ts = np.asarray(ts, dtype=float)
-            sc = ts ** (-1.0 / n)
-            return np.exp(-s * ts) * sc * shape.profile(x * sc)
-
-        res = integrate_adaptive(f, 0.0, t_cut, 0.1 * tol)
-        return abs(res.value - closed)
+        # the random time is t itself, so the weight is e^{-st}
+        value, _ = _integrate_against_kernel(
+            kernel, x, lambda ts: np.exp(-s * np.asarray(ts, dtype=float)),
+            t_cut, 0.2 * tol)
+        return abs(value - closed)
     prof = _time_profile(alpha)
 
     def time_integral(u: float) -> float:
@@ -714,10 +787,8 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
         us = np.atleast_1d(np.asarray(us, dtype=float))
         return np.array([time_integral(float(u)) for u in us])
 
-    osc = _OscillatoryTail(shape) if shape.osc_dir else None
-    u_hi = 35.0 / s ** alpha
-    value, _ = _integrate_against_kernel(shape, osc, x, weight, u_hi,
-                                         0.2 * tol)
+    value, _ = _integrate_against_kernel(kernel, x, weight,
+                                         35.0 / s ** alpha, 0.2 * tol)
     return abs(value - closed)
 
 
@@ -750,7 +821,7 @@ class _GridField:
     def __init__(self, spec: EquationSpec, alpha: float, t_max: float) -> None:
         self.spec = spec
         self.alpha = alpha
-        self.shape = _SimilarityKernel(spec, tol=1e-13)
+        self.clip_abs, self.osc_dir = _kernel_sides(spec)
         if alpha < 1.0:
             self.prof = _time_profile(alpha)
             self.u_hi = self.prof.x_clip * t_max ** alpha
@@ -762,12 +833,12 @@ class _GridField:
         if ax_min <= 0.0:
             raise DomainError("the default field needs stencil nodes away "
                               "from the origin")
-        if self.shape.osc_dir:
+        if self.osc_dir:
             y_floor = float(_phase_point(n, 1.0, _OSC_PHASE0))
         else:
-            y_floor = self.shape.clip_abs
+            y_floor = self.clip_abs
         u_lo = min((ax_min / y_floor) ** n, 1e-3 * self.u_hi)
-        half, ref = leggauss(16)
+        half, ref = _GL16
         edges = np.geomspace(u_lo, self.u_hi, 25)
         lmid = 0.5 * (np.log(edges[1:]) + np.log(edges[:-1]))
         lrad = 0.5 * (np.log(edges[1:]) - np.log(edges[:-1]))
@@ -776,11 +847,23 @@ class _GridField:
         w_log = (lrad[:, None] * ref[None, :]).ravel()
         scale = self.u_nodes ** (-1.0 / n)
         args = x_nodes[:, None] * scale[None, :]
-        profile = self.shape.profile(args.ravel()).reshape(args.shape)
+        profile = self._phi(args.ravel()).reshape(args.shape)
         kernel_mat = scale[None, :] * profile
         # fold the log-map jacobian and the weights into the matrix
         self.k_w = kernel_mat * (w_log * self.u_nodes)[None, :]
         self._key = tuple(float(v) for v in x_nodes)
+
+    def _phi(self, y: np.ndarray) -> np.ndarray:
+        """``phi`` by the contour to 1e-13, zero on a decaying side beyond
+        the saddle bound."""
+        out = np.zeros_like(y)
+        keep = np.abs(y) <= self.clip_abs
+        if self.osc_dir:
+            keep |= np.sign(y) == self.osc_dir
+        if np.any(keep):
+            out[keep], _, _ = kernel_density_grid(self.spec, y[keep], 1.0,
+                                                  1e-13)
+        return out
 
     def __call__(self, x_nodes, t: float) -> np.ndarray:
         x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))

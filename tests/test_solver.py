@@ -207,6 +207,96 @@ def test_subordination_stays_in_float64(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the t = 1 kernel profile inside subordination
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def fresh_kernel_profiles():
+    """Profiles built under a monkeypatch stay out of the shared cache."""
+    solver._kernel_profile.cache_clear()
+    yield
+    solver._kernel_profile.cache_clear()
+
+
+@pytest.mark.parametrize("n, sign", [(n, s) for n in range(2, 9)
+                                     for s in ((1, -1) if n % 2 else (1,))])
+def test_kernel_profile_matches_contour(n, sign):
+    spec = EquationSpec(n, sign)
+    kernel = solver._kernel_profile(n, spec.k)
+    assert kernel.fit_err <= solver._KERNEL_FIT_TOL
+    lo, hi = kernel.edges[0], kernel.edges[-1]
+    ys = np.sort(np.random.default_rng(10 * n + sign).uniform(lo, hi, 500))
+    # one contour call per stretch of |y|, since each call is sized for its
+    # largest point
+    want = np.empty_like(ys)
+    for part in np.array_split(np.argsort(np.abs(ys)), 10):
+        want[part], _, _ = kernel_density_grid(spec, ys[part], 1.0, 1e-13)
+    assert_allclose(kernel(ys), want, rtol=0.0, atol=solver._KERNEL_TOL)
+    assert not np.any(kernel(np.array([lo - 1.0, hi + 1.0])))
+
+
+def test_kernel_profile_reproduces_the_contour(monkeypatch,
+                                               fresh_kernel_profiles):
+    """Solves through the fitted profile against the same solves with
+    every kernel value taken from the contour."""
+    reqs = [SolutionRequest(EquationSpec(3, sign), 0.6, 1.3, xs,
+                            route="subordination")
+            for sign, xs in ((1, (-4.0, 0.0, 0.8, 12.0)), (-1, (-40.0, 0.5)))]
+    reqs.append(SolutionRequest(EquationSpec(4), 0.3, 0.2, (-2.0, 0.0, 1.5),
+                                route="subordination"))
+    fitted = [solve(req) for req in reqs]
+
+    def contour(self, y):
+        y = np.atleast_1d(np.asarray(y, dtype=float))
+        out = np.zeros_like(y)
+        keep = (y >= self.edges[0]) & (y <= self.edges[-1])
+        if np.any(keep):
+            out[keep], _, _ = kernel_density_grid(self.spec, y[keep], 1.0,
+                                                  solver._KERNEL_TOL)
+        return out
+
+    solver._kernel_profile.cache_clear()
+    monkeypatch.setattr(solver._KernelProfile, "__call__", contour)
+    for req, fit in zip(reqs, fitted):
+        direct = solve(req)
+        assert_allclose(fit.values, direct.values, rtol=0.0, atol=1e-12)
+        assert_allclose(fit.errors, direct.errors, rtol=0.01)
+
+
+def test_second_solve_reuses_the_kernel_profile(monkeypatch):
+    spec = EquationSpec(5, -1)
+    solve(SolutionRequest(spec, 0.4, 2.0, (-1.0, 0.0, 3.0),
+                          route="subordination"))
+    points = []
+    contour = solver.kernel_density_grid
+
+    def counted(spec, x, *args, **kwargs):
+        points.append(np.size(x))
+        return contour(spec, x, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "kernel_density_grid", counted)
+    solve(SolutionRequest(spec, 0.7, 0.05, (-2.0, 0.0, 0.5, 40.0),
+                          route="subordination"))
+    # phi(0) for the Gauss-Jacobi branch at x = 0, and nothing else
+    assert points == [1]
+
+
+def test_kernel_profile_refusal_comes_before_quadrature(
+        monkeypatch, fresh_kernel_profiles):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature ran before the refusal")
+
+    for name in ("integrate_adaptive", "integrate_jacobi_singular"):
+        monkeypatch.setattr(solver, name, forbidden)
+    monkeypatch.setattr(solver, "_KERNEL_NODES", 5)
+    monkeypatch.setattr(solver, "_KERNEL_MAX_NODES", 9)
+    req = SolutionRequest(EquationSpec(3), 0.5, 1.0, (0.0, 1.0),
+                          route="subordination")
+    with pytest.raises(ConvergenceError, match="kernel profile"):
+        solve(req)
+
+
+# ---------------------------------------------------------------------------
 # route dispatch and request validation
 # ---------------------------------------------------------------------------
 
@@ -236,6 +326,22 @@ def test_route_dispatch():
 ])
 def test_request_validation(kwargs):
     base = {"spec": EquationSpec(2), "alpha": 0.5, "t": 1.0,
+            "x_grid": (0.0, 1.0)}
+    base.update(kwargs)
+    with pytest.raises(DomainError):
+        SolutionRequest(**base)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"x_grid": (0.0, math.nan)},
+    {"x_grid": (0.0, math.inf)},
+    {"x_grid": (-math.inf, 0.0)},
+    {"t": math.inf},
+])
+def test_request_rejects_non_finite_input(kwargs):
+    """Refused up front, not by an IndexError, OverflowError or
+    ZeroDivisionError (or a NaN bar) deep inside either route."""
+    base = {"spec": EquationSpec(3), "alpha": 0.5, "t": 1.0,
             "x_grid": (0.0, 1.0)}
     base.update(kwargs)
     with pytest.raises(DomainError):
@@ -407,6 +513,8 @@ def test_fourier_small_alpha_within_bars_or_refuses():
 @pytest.mark.parametrize("n, alpha, x, s, tol", [
     (2, 1.0, 1.0, 1.0, 1e-7),
     (2, 0.5, 0.5, 1.0, 1e-4),
+    (3, 1.0, 2.0, 1.0, 1e-7),
+    (3, 1.0, -2.0, 1.0, 1e-7),
 ])
 def test_laplace_identity(n, alpha, x, s, tol):
     assert laplace_relation_check(EquationSpec(n), alpha, x, s) < tol

@@ -220,6 +220,21 @@ class TestMittagLeffler:
         assert np.all(vals > 0.0)
         assert np.all(np.diff(vals) < 0.0)
 
+    @pytest.mark.parametrize("alpha", [0.05, 0.083, 0.15, 0.25, 0.38])
+    def test_float64_taylor_tier_within_its_bars(self, alpha):
+        """Small alpha: the float64 Taylor tier sums far past its peak
+        term, and its reported error bounds the distance to the
+        extended-precision sum on the rays -1 and +-i up to the tier edge."""
+        p = MLParams(alpha=alpha)
+        radii = np.linspace(0.05, 1.0, 8) * specfun._ML_F64_EXPONENT ** alpha
+        for ray in (-1.0, 1j, -1j):
+            zs = ray * radii
+            vals, errs, _ = mittag_leffler_grid(zs, p)
+            for z, v, e in zip(zs, vals, errs):
+                ref = specfun._ml_taylor_mp(complex(z), alpha, 1.0,
+                                            0.434 * abs(z) ** (1.0 / alpha))
+                assert abs(v - ref) <= e
+
 
 class TestStableOneSided:
     @pytest.mark.parametrize("alpha", [0.0, 1.0, 1.3])
