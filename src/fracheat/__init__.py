@@ -6,10 +6,12 @@ The package evaluates the fundamental solution of
     d^alpha u / dt^alpha = k_n d^n u / dx^n,    u(x, 0) = delta(x),
 
 with a Dzherbashyan-Caputo time derivative of order alpha in (0, 1], by
-several independent analytic routes (time-changed signed kernels, Fourier
-inversion through Mittag-Leffler functions, Wright-function closed forms),
-and checks every route against the others.  A finite-difference residual
-check closes the loop.
+two analytic routes that share no code below :func:`solve`: the signed
+kernel subordinated by the random time (whose density,
+:func:`time_density_grid`, comes from the first-passage duality with the
+one-sided stable law), and Fourier inversion through the Mittag-Leffler
+function.  Their agreement checks both; the Laplace-transform identity
+and a finite-difference residual of the equation close the loop.
 """
 from __future__ import annotations
 

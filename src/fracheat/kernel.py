@@ -129,6 +129,8 @@ def kernel_density_grid(spec: EquationSpec, x, t: float,
     """
     if not t > 0.0:
         raise DomainError(f"time must be positive, got {t}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     return kernel_contour_values(spec.n, spec.k, x_arr, t, tol, budget=budget)
 

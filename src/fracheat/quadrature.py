@@ -7,16 +7,18 @@ Three entry points:
 * :func:`integrate_jacobi_singular` -- Gauss-Jacobi rules for integrands with
   an algebraic endpoint singularity, with node doubling and a hybrid split
   fallback.
-* :func:`integrate_oscillatory_ray` -- the signed heat-kernel integral
-  ``(1/pi) Re int_0^inf exp(i x z + k t (i z)^n) dz``, by cosine reduction for
-  even ``n`` and by rotating the tail onto a decaying ray for odd ``n``.
+* :func:`kernel_contour_values` -- the signed heat-kernel integral
+  ``(1/pi) Re int_0^inf exp(i x z + k t (i z)^n) dz`` on an array of ``x``,
+  by cosine reduction for even ``n`` and by rotating the tail onto a
+  decaying ray for odd ``n``.
 
 plus :func:`euler_tail_sum`, an iterated-averaging summer for the slowly
 decaying (or polynomially growing) alternating block sums that oscillatory
 tails produce.
 
-Every engine reports a :class:`QuadResult` carrying the value, an error
-estimate, and the number of integrand evaluations spent.
+The two integrators report a :class:`QuadResult` carrying the value, an
+error estimate, and the number of integrand evaluations spent;
+:func:`kernel_contour_values` returns the same three as a tuple.
 """
 from __future__ import annotations
 
@@ -395,11 +397,14 @@ def kernel_contour_values(n: int, sign: int, x, t: float,
     """Shared-contour kernel values for an array of space points.
 
     Returns ``(values, error_estimate, evaluations)`` with ``values`` shaped
-    like ``x``.  This is the batch engine behind
-    :func:`integrate_oscillatory_ray`; callers that need many abscissae at
-    one ``t`` should use it directly so panel refinement is shared.
-    ``radius_scale`` perturbs the head/ray split radius for odd ``n`` (the
-    result must not depend on it; exposed so tests can verify that).
+    like ``x``; panel refinement is shared across the whole array.  For
+    even ``n`` the integrand reduces to ``exp(-t z^n) cos(x z)`` on the
+    real axis.  For odd ``n`` the oscillatory tail is rotated onto the
+    decaying ray at angle ``sign(gamma) * pi / (2 n)`` together with the
+    finite connecting arc; :class:`ContourError` is raised if that ray
+    does not decay.  ``radius_scale`` perturbs the head/ray split radius
+    for odd ``n`` (the result must not depend on it; exposed so tests can
+    verify that).
     """
     if t <= 0:
         raise DomainError(f"time {t} must be positive")
@@ -415,22 +420,3 @@ def kernel_contour_values(n: int, sign: int, x, t: float,
                                               radius_scale=radius_scale)
     return vals, err, evals
 
-
-def integrate_oscillatory_ray(n: int, sign: int, x: float, t: float,
-                              tol: float = DEFAULT_TOL, *,
-                              budget: int = EVAL_BUDGET,
-                              radius_scale: float = 1.0) -> QuadResult:
-    """One point of ``(1/pi) Re int_0^inf exp(i x z + k t (i z)^n) dz``.
-
-    For even ``n`` the integrand reduces to ``exp(-t z^n) cos(x z)`` on the
-    real axis and is integrated directly (an independent code path usable as
-    a cross-check of the rotated route).  For odd ``n`` the oscillatory tail
-    is rotated onto the decaying ray at angle ``sign(gamma) * pi / (2 n)``
-    together with the finite connecting arc.  Raises :class:`ContourError`
-    if the requested rotation does not decay.
-    """
-    vals, err, evals = kernel_contour_values(n, sign, np.array([float(x)]), t,
-                                             tol, budget=budget,
-                                             radius_scale=radius_scale)
-    return QuadResult(value=float(vals[0]), error_estimate=err,
-                      evaluations=evals)

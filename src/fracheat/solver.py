@@ -47,6 +47,7 @@ from .specfun import (
     mittag_leffler_grid,
     stable_one_sided_density_grid,
 )
+from .timechange import TimeChangeLaw, time_density_grid
 
 __all__ = [
     "SolutionRequest",
@@ -311,38 +312,21 @@ def _kernel_profile(n: int, k: int) -> _KernelProfile:
     return _KernelProfile(n, k)
 
 
-def time_density_grid(alpha: float, u) -> np.ndarray:
-    """Density of the random time at ``t = 1`` over ``u >= 0``, by duality.
-
-    The first-passage duality with the one-sided stable law gives
-    ``F(u) = (1/alpha) u^{-1-1/alpha} g_alpha(u^{-1/alpha})`` (Meerschaert
-    & Scheffler 2004), float64 throughout.  Each point takes the stable
-    law at its own scale, ``F(u) = g(1; scale u) / (alpha u)``, so the
-    density's argument stays 1 instead of ``u^{-1/alpha}``, which
-    overflows near ``u = 0`` for small ``alpha``.
-    """
-    one = np.ones(1)
-    return np.array([
-        float(stable_one_sided_density_grid(
-            one, StableOneSided(alpha=alpha, u=float(x)))[0]) / (alpha * x)
-        if x > 0.0 else float(rgamma(1.0 - alpha))
-        for x in np.atleast_1d(np.asarray(u, dtype=float))])
-
-
 class _TimeProfile:
     """Chebyshev fit of the random-time density at ``t = 1``.
 
-    ``F`` from :func:`time_density_grid` is entire, so an interpolant
-    built once replaces per-node work for every later quadrature
-    evaluation (other times follow from ``vbar(u, t) = t^-alpha
-    F(u t^-alpha)``).  One :class:`_Chebyshev` panel covers
-    ``[0, x_clip]``, where ``F(x_clip)`` is ~e^-46; beyond it the profile
-    is clamped to zero, and ``tail_mass`` is the clamped mass.
+    ``F``, the duality density of :func:`time_density_grid` at ``t = 1``,
+    is entire, so an interpolant built once replaces per-node work for
+    every later quadrature evaluation (other times follow from
+    ``vbar(u, t) = t^-alpha F(u t^-alpha)``).  One :class:`_Chebyshev`
+    panel covers ``[0, x_clip]``, where ``F(x_clip)`` is ~e^-46; beyond it
+    the profile is clamped to zero, and ``tail_mass`` is the clamped mass.
     """
 
     def __init__(self, alpha: float) -> None:
         self.x_clip = (46.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
-        self.profile = _Chebyshev(lambda u: time_density_grid(alpha, u),
+        law = TimeChangeLaw(alpha, 1.0)
+        self.profile = _Chebyshev(lambda u: time_density_grid(law, u),
                                   (0.0, self.x_clip), _PROFILE_NODES,
                                   _PROFILE_MAX_NODES, _KERNEL_TOL,
                                   f"time-law profile at alpha={alpha}")
@@ -674,6 +658,8 @@ def solve(request: SolutionRequest, *, tol: float = 1e-8) -> SolutionField:
     characteristic function a pure phase, so there the solution is the
     kernel itself.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     spec, alpha, n = request.spec, request.alpha, request.spec.n
     route = request.route
     if route == "auto":
@@ -712,7 +698,7 @@ def solution_char_fn(spec: EquationSpec, alpha: float, beta: float,
     if not t > 0.0:
         raise DomainError(f"t must be positive, got {t}")
     z = complex(spec.k) * (-1j * beta) ** spec.n * t ** alpha
-    return mittag_leffler(z, MLParams(alpha=alpha))
+    return mittag_leffler(z, MLParams(alpha=alpha))[0]
 
 
 def solution_moment(spec: EquationSpec, alpha: float, r: int,
@@ -754,6 +740,8 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
     if not s > 0.0:
         raise DomainError(f"Laplace parameter must be positive, got {s}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     closed = s ** (alpha - 1.0) * kernel_laplace(spec, x, s ** alpha)
     t_cut = 45.0 / s
     kernel = _kernel_profile(spec.n, spec.k)

@@ -1,4 +1,4 @@
-"""Scalar special functions shared by every analytic route.
+"""Special functions shared by every analytic route.
 
 Covers the reciprocal Gamma function, the Wright function W(x; eta, beta),
 the Mittag-Leffler function E_{alpha,beta}(z), the one-sided (totally
@@ -155,7 +155,7 @@ def _wright_peak_index(x_abs: float, a: float) -> float:
 
 
 def wright_guard(eta: float, beta: float) -> float:
-    """Largest |x| for which wright_w will attempt an evaluation.
+    """Largest |x| for which wright_w_grid will attempt an evaluation.
 
     Chosen where the predicted largest series term reaches ~1e12 times the
     predicted sum; beyond it the caller must rescale or switch routes.
@@ -244,17 +244,6 @@ def _wright_mp(x: float, eta: float, beta: float, digits_lost: float) -> float:
         return float(s)
 
 
-def wright_w(x: float, params: WrightParams) -> float:
-    """W(x; eta, beta) = sum_k x^k / (k! Gamma(eta k + beta)).
-
-    Relative accuracy ~1e-10 inside the guard; raises
-    :class:`SeriesRangeError` when |x| is so large that even extended
-    precision would be summing noise (|x| > wright_guard(eta, beta)).
-    """
-    vals = wright_w_grid(np.array([float(x)]), params)
-    return float(vals[0])
-
-
 def wright_w_extended(x: float, params: WrightParams) -> float:
     """W(x; eta, beta) beyond the standard guard, at whatever precision
     the predicted cancellation demands.
@@ -289,11 +278,14 @@ def _wright_predicted_digits(x_abs: np.ndarray, eta: float) -> np.ndarray:
 
 
 def wright_w_grid(x: np.ndarray, params: WrightParams) -> np.ndarray:
-    """Vectorized :func:`wright_w` sharing one term recurrence.
+    """W(x; eta, beta) = sum_k x^k / (k! Gamma(eta k + beta)) over an array,
+    sharing one term recurrence.
 
-    Arguments are routed by the predicted cancellation: <= ~3.5 digits
-    lost runs in compensated float64, <= 12 digits in extended precision,
-    and beyond that the series is refused outright.
+    Relative accuracy ~1e-10 inside the guard.  Arguments are routed by
+    the predicted cancellation: <= ~3.5 digits lost runs in compensated
+    float64, <= 12 digits in extended precision, and beyond that
+    (|x| > wright_guard(eta, beta)) a :class:`SeriesRangeError` is raised
+    instead of returning noise.
     """
     x = np.asarray(x, dtype=float)
     if x.size == 0:
@@ -325,18 +317,6 @@ def wright_w_grid(x: np.ndarray, params: WrightParams) -> np.ndarray:
         values[idx] = _wright_mp(float(x[idx]), params.eta, params.beta,
                                  max(float(pred[idx]), 4.0))
     return values
-
-
-def wright_log_decay(x_abs: float, eta: float) -> float:
-    """Leading-order log-magnitude of W(-x; eta, beta) for x >= 0.
-
-    ln |W| ~ -(1-a) (a^a x)^{1/(1-a)} with a = -eta; used by callers to
-    clamp provably negligible tails before the series guard triggers.
-    """
-    a = -eta
-    if x_abs <= 0.0:
-        return 0.0
-    return -(1.0 - a) * (a ** a * x_abs) ** (1.0 / (1.0 - a))
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +433,9 @@ def _ml_asymptotic(z: complex, alpha: float, beta: float):
     return s, err, degraded
 
 
-def mittag_leffler(z: complex, params: MLParams) -> complex:
-    """E_{alpha,beta}(z) for alpha in (0,1], any finite complex z."""
-    value, _, _ = mittag_leffler_with_error(z, params)
-    return value
-
-
-def mittag_leffler_with_error(z: complex, params: MLParams):
-    """E_{alpha,beta}(z) with an error estimate and a Stokes-degradation flag.
+def mittag_leffler(z: complex, params: MLParams):
+    """E_{alpha,beta}(z) for alpha in (0,1] and any finite complex z, as
+    ``(value, error_estimate, degraded)``.
 
     The flag marks arguments near the directions arg z = +-alpha*pi where
     the asymptotic branch switches its exponential term on or off; the
@@ -639,15 +614,9 @@ def _zolotarev_values(w: np.ndarray, alpha: float,
         f"between its last rungs ({_ZOLOTAREV_NODE_LADDER[-1]} nodes)")
 
 
-def stable_one_sided_density(w: float, s: StableOneSided) -> float:
-    """Density at w of the stable law with Laplace transform e^{-s^alpha u}."""
-    if not w > 0.0:
-        raise DomainError(f"stable density needs w > 0, got {w}")
-    return float(stable_one_sided_density_grid(np.array([float(w)]), s)[0])
-
-
 def stable_one_sided_density_grid(w: np.ndarray, s: StableOneSided) -> np.ndarray:
-    """Vectorized one-sided stable density over an array of w > 0.
+    """Density of the stable law with Laplace transform e^{-s^alpha u}
+    over an array of w > 0.
 
     Uses the convergent large-argument series where it is well conditioned
     and the scaling reduction w -> w u^{-1/alpha} through the positive
@@ -734,17 +703,11 @@ def _spec_neg_mp(x: float, alpha: float, digits_lost: float) -> float:
         return float(s / mp.pi)
 
 
-def stable_spec_neg_density(u: float, s: StableSpectrallyNegative) -> float:
-    """Density at u > 0 of the spectrally negative stable law of index
-    1/alpha at time t (positive branch; total mass alpha on u > 0)."""
-    if not u >= 0.0:
-        raise DomainError(f"spectrally negative branch needs u >= 0, got {u}")
-    return float(stable_spec_neg_density_grid(np.array([float(u)]), s)[0])
-
-
 def stable_spec_neg_density_grid(u: np.ndarray,
                                  s: StableSpectrallyNegative) -> np.ndarray:
-    """Vectorized positive-branch spectrally negative stable density.
+    """Density over an array of u >= 0 of the spectrally negative stable
+    law of index 1/alpha at time t (positive branch; total mass alpha on
+    u > 0).
 
     Entries are routed by the predicted series cancellation (the peak term
     has log-magnitude ~ (1-alpha) n* with n* = (alpha^alpha x)^{1/(1-alpha)},

@@ -1,21 +1,15 @@
 """The law of the random time that subordinates the signed kernel.
 
-The density ``v(u, t)`` of the random time at physical time ``t`` is
-computed by four independent routes that must agree wherever more than
-one applies:
+The random time at physical time ``t`` has the law of ``t^alpha`` times
+the one at ``t = 1``, so its density is ``v(u, t) = t^{-alpha}
+F(u t^{-alpha})``.  ``F`` comes from the first-passage duality with the
+one-sided stable law (Meerschaert & Scheffler 2004):
+``F(x) = (1/alpha) x^{-1-1/alpha} g_alpha(x^{-1/alpha})``, float64
+throughout.  It is the density that the subordination solve fits, and
+the only one the package computes.
 
-* ``wright``: the closed form ``t^{-alpha} W(-u t^{-alpha}; -alpha,
-  1 - alpha)`` built on the Wright series (all ``alpha`` in (0, 1));
-* ``frac_integral``: the Riemann-Liouville integral of order
-  ``1 - alpha`` (in ``t``) of the one-sided stable density in ``u``;
-* ``stable``: ``(1/alpha)`` times the positive branch of the spectrally
-  negative stable density of index ``1/alpha`` (``alpha`` in [1/2, 1));
-* ``product``: when ``alpha = 1/m``, the density of a product of
-  ``m - 1`` independent Gamma-power factors, staged by logarithmic
-  Mellin convolution.
-
-``alpha = 1`` is the degenerate point mass at ``u = t`` and is never
-pushed through a series.  The moment formula
+``alpha = 1`` is the degenerate point mass at ``u = t`` and has no
+density.  The moment formula
 ``Gamma(1+delta) t^{alpha delta} / Gamma(1+alpha delta)`` closes the
 loop.
 """
@@ -25,100 +19,34 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import rgamma
 
 from ._errors import DomainError
-from .quadrature import JacobiWeight, integrate_jacobi_singular
-from .specfun import (
-    StableOneSided,
-    StableSpectrallyNegative,
-    WrightParams,
-    stable_one_sided_density_grid,
-    stable_spec_neg_density_grid,
-    wright_guard,
-    wright_log_decay,
-    wright_w_extended,
-    wright_w_grid,
-)
+from .specfun import StableOneSided, stable_one_sided_density_grid
+
+# bench/tracer.py probes these by name in this module; nothing here calls them
+from .specfun import stable_spec_neg_density_grid, wright_w_extended, wright_w_grid  # noqa: E501,F401
 
 __all__ = [
     "TimeChangeLaw",
-    "GjLaw",
     "time_density",
     "time_density_grid",
-    "time_density_frac_integral",
-    "time_density_stable",
-    "gj_density",
-    "time_density_product",
     "time_moment",
 ]
-
-_ROUTES = ("wright", "frac_integral", "stable", "product", "degenerate")
-
-#: ln of the density tail below which the wright route clamps to zero
-#: instead of falling back to quadrature (e^-140 ~ 1e-61).
-_CLAMP_LOG = -140.0
 
 
 @dataclass(frozen=True)
 class TimeChangeLaw:
-    """One random-time law: order ``alpha``, horizon ``t``, and the
-    evaluation route.
-
-    ``m`` is required only by the ``product`` route (where ``alpha`` must
-    equal ``1/m``); ``degenerate`` is the mandatory route at
-    ``alpha = 1`` and is invalid elsewhere.
-    """
+    """One random-time law: order ``alpha`` and horizon ``t``."""
 
     alpha: float
     t: float
-    route: str = "wright"
-    m: int | None = None
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
         if not self.t > 0.0:
             raise DomainError(f"t must be positive, got {self.t}")
-        if self.route not in _ROUTES:
-            raise DomainError(f"unknown route {self.route!r}")
-        if self.route == "degenerate" and self.alpha != 1.0:
-            raise DomainError("the degenerate route means alpha = 1")
-        if self.alpha == 1.0 and self.route != "degenerate":
-            raise DomainError("alpha = 1 must use the degenerate route")
-        if self.route == "stable" and not 0.5 <= self.alpha < 1.0:
-            raise DomainError(
-                f"the stable route needs alpha in [1/2, 1), got {self.alpha}")
-        if self.route == "product":
-            m = self.m if self.m is not None else round(1.0 / self.alpha)
-            if m < 2 or abs(self.alpha * m - 1.0) > 1e-12:
-                raise DomainError(
-                    f"the product route needs alpha = 1/m with integer "
-                    f"m >= 2, got alpha={self.alpha}")
-            object.__setattr__(self, "m", int(m))
-
-
-@dataclass(frozen=True)
-class GjLaw:
-    """One Gamma-power factor of the product route: index ``j`` of ``m - 1``
-    independent factors at horizon ``t``."""
-
-    m: int
-    j: int
-    t: float
-
-    def __post_init__(self) -> None:
-        if self.m < 2:
-            raise DomainError(f"m must be an integer >= 2, got {self.m}")
-        if not 1 <= self.j <= self.m - 1:
-            raise DomainError(
-                f"j must lie in 1..{self.m - 1}, got {self.j}")
-        if not self.t > 0.0:
-            raise DomainError(f"t must be positive, got {self.t}")
-
-
-def _density_at_origin(alpha: float, t: float) -> float:
-    """The ``u -> 0+`` limit ``t^{-alpha} / Gamma(1 - alpha)``."""
-    return t ** -alpha / math.gamma(1.0 - alpha)
 
 
 def time_density(law: TimeChangeLaw, u: float) -> float:
@@ -127,154 +55,32 @@ def time_density(law: TimeChangeLaw, u: float) -> float:
 
 
 def time_density_grid(law: TimeChangeLaw, u) -> np.ndarray:
-    """Vectorized :func:`time_density` over an array of time points."""
-    u = np.atleast_1d(np.asarray(u, dtype=float))
-    alpha, t = law.alpha, law.t
-    out = np.zeros_like(u)
-    pos = u > 0.0
-    if law.route == "degenerate":
-        raise DomainError(
-            "the degenerate law is a point mass at u = t and has no density")
-    out[u == 0.0] = _density_at_origin(alpha, t)
-    if not np.any(pos):
-        return out
+    """Density of the random time over an array of ``u``, by duality.
 
-    up = u[pos]
-    if law.route == "wright":
-        out[pos] = _wright_route_values(alpha, up, t)
-    elif law.route == "stable":
-        s = StableSpectrallyNegative(alpha=alpha, t=t)
-        out[pos] = stable_spec_neg_density_grid(up, s) / alpha
-    elif law.route == "frac_integral":
-        out[pos] = [time_density_frac_integral(alpha, float(v), t)
-                    for v in up]
-    else:
-        out[pos] = _product_density_values(law.m, up, t)[0]
-    return out
-
-
-def _wright_route_values(alpha: float, u: np.ndarray, t: float) -> np.ndarray:
-    """``t^{-alpha} W(-u t^{-alpha}; -alpha, 1-alpha)`` with the far tail
-    clamped to zero and the mid tail (beyond the standard series guard but
-    not yet provably negligible) summed at explicitly raised precision."""
-    params = WrightParams(eta=-alpha, beta=1.0 - alpha)
-    x = u * t ** -alpha
-    guard = 0.999 * wright_guard(-alpha, 1.0 - alpha)
-    out = np.zeros_like(x)
-    inside = x <= guard
-    if np.any(inside):
-        out[inside] = t ** -alpha * wright_w_grid(-x[inside], params)
-    for i in np.nonzero(~inside)[0]:
-        if wright_log_decay(float(x[i]), -alpha) > _CLAMP_LOG:
-            out[i] = t ** -alpha * wright_w_extended(float(-x[i]), params)
-    return out
-
-
-def time_density_frac_integral(alpha: float, u: float, t: float,
-                               tol: float = 1e-9) -> float:
-    """Riemann-Liouville route: ``(1/Gamma(1-alpha)) int_0^t (t-w)^{-alpha}
-    q(w; u) dw`` with ``q`` the one-sided stable density whose Laplace
-    exponent is ``u s^alpha``."""
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    if not u > 0.0:
-        raise DomainError(f"u must be positive, got {u}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    stable = StableOneSided(alpha=alpha, u=u)
-
-    def f(ws: np.ndarray) -> np.ndarray:
-        return stable_one_sided_density_grid(ws, stable)
-
-    res = integrate_jacobi_singular(
-        f, 0.0, t, JacobiWeight(exponent=-alpha, endpoint="right"), tol)
-    return res.value / math.gamma(1.0 - alpha)
-
-
-def time_density_stable(alpha: float, u: float, t: float) -> float:
-    """Spectrally negative route, ``alpha`` in [1/2, 1): ``1/alpha`` times
-    the positive branch of the index-``1/alpha`` stable density."""
-    if not u > 0.0:
-        raise DomainError(f"u must be positive, got {u}")
-    s = StableSpectrallyNegative(alpha=alpha, t=t)
-    return float(stable_spec_neg_density_grid(np.array([u]), s)[0]) / alpha
-
-
-# ---------------------------------------------------------------------------
-# Product-of-factors route (alpha = 1/m)
-# ---------------------------------------------------------------------------
-
-def gj_density(law: GjLaw, w) -> float | np.ndarray:
-    """Density of the ``j``-th Gamma-power factor at ``w > 0``:
-    ``c w^{j-1} exp(-w^m / (m^m t)^{1/(m-1)})`` with the normalizing
-    constant ``c = m^{1-j/(m-1)} t^{-j/(m(m-1))} / Gamma(j/m)``."""
-    m, j, t = law.m, law.j, law.t
-    scalar = np.ndim(w) == 0
-    w = np.atleast_1d(np.asarray(w, dtype=float))
-    if np.any(w <= 0.0):
-        raise DomainError("the factor density needs w > 0")
-    # Log-space evaluation: convolution stages probe ratios across many
-    # orders of magnitude, where w^{j-1} overflows while the exponential
-    # underflows; the log form turns that into a clean zero.
-    log_coef = ((1.0 - j / (m - 1.0)) * math.log(m)
-                - j / (m * (m - 1.0)) * math.log(t)
-                - math.lgamma(j / m))
-    lw = np.log(w)
-    with np.errstate(over="ignore"):
-        decay = np.exp(m * lw - math.log(m ** m * t) / (m - 1.0))
-        vals = np.exp(log_coef + (j - 1.0) * lw - decay)
-    return float(vals[0]) if scalar else vals
-
-
-def _product_density_values(m: int, u: np.ndarray, t: float,
-                            nodes: int = 512) -> tuple[np.ndarray, float]:
-    """Density of the product of the ``m - 1`` factors at the points ``u``.
-
-    Each Mellin convolution stage is a trapezoid rule on a logarithmic
-    grid; the integrands are analytic and die superexponentially at both
-    ends, so the rule converges spectrally.  The result is recomputed on
-    a doubled grid and the difference reported as the error estimate.
+    Zero for ``u < 0`` and ``t^{-alpha} / Gamma(1 - alpha)`` at ``u = 0``.
+    Each point ``x = u t^{-alpha} > 0`` takes the stable law at its own
+    scale, ``F(x) = g(1; scale x) / (alpha x)``, so the stable density's
+    argument stays 1 instead of ``x^{-1/alpha}``, which overflows near
+    ``x = 0`` for small ``alpha``.  The points are evaluated one by one,
+    so each keeps the relative accuracy of its own evaluation far into
+    the tail, where the density underflows to 0.
     """
+    alpha = law.alpha
+    if alpha == 1.0:
+        raise DomainError(
+            "at alpha = 1 the random time is a point mass at u = t and has "
+            "no density")
+    one = np.ones(1)
 
-    def pipeline(n_nodes: int) -> np.ndarray:
-        if m == 2:
-            return gj_density(GjLaw(m=2, j=1, t=t), u)
-        scale_log = math.log(m ** m * t) / (m * (m - 1.0))
-        f_vals = None
-        y_prev = None
-        for j in range(1, m - 1):
-            center = j * scale_log
-            y = np.linspace(center - 18.0, center + 8.0, n_nodes)
-            if j == 1:
-                f_vals = gj_density(GjLaw(m=m, j=1, t=t), np.exp(y))
-            else:
-                g = GjLaw(m=m, j=j, t=t)
-                ratio = np.exp(y[:, None] - y_prev[None, :])
-                kernel = gj_density(g, ratio)
-                f_vals = kernel @ f_vals * (y_prev[1] - y_prev[0])
-            y_prev = y
-        g_last = GjLaw(m=m, j=m - 1, t=t)
-        ratio = u[:, None] * np.exp(-y_prev[None, :])
-        kernel = gj_density(g_last, ratio)
-        return kernel @ f_vals * (y_prev[1] - y_prev[0])
+    def profile(x: float) -> float:
+        if x > 0.0:
+            g = stable_one_sided_density_grid(one, StableOneSided(alpha, x))
+            return float(g[0]) / (alpha * x)
+        return float(rgamma(1.0 - alpha)) if x == 0.0 else 0.0
 
-    coarse = pipeline(nodes)
-    fine = pipeline(2 * nodes)
-    err = float(np.max(np.abs(fine - coarse))) if np.size(fine) else 0.0
-    return fine, err
-
-
-def time_density_product(m: int, u: float, t: float) -> float:
-    """Product route for ``alpha = 1/m``: the density at ``u > 0`` of the
-    product of the ``m - 1`` independent factors."""
-    if not isinstance(m, (int, np.integer)) or m < 2:
-        raise DomainError(f"m must be an integer >= 2, got {m}")
-    if not u > 0.0:
-        raise DomainError(f"u must be positive, got {u}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    vals, _ = _product_density_values(int(m), np.array([float(u)]), t)
-    return float(vals[0])
+    scale = law.t ** -alpha
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    return np.array([scale * profile(float(v) * scale) for v in u])
 
 
 def time_moment(alpha: float, delta: float, t: float) -> float:

@@ -1,6 +1,8 @@
 """The packaging metadata names only things that exist in the tree."""
 from __future__ import annotations
 
+import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -40,3 +42,24 @@ def test_runtime_dependencies_are_imported():
         module = name.lower().replace("-", "_")
         assert re.search(rf"^\s*(import|from)\s+{module}\b", sources, re.M), (
             f"dependency {name} is imported nowhere under src/")
+
+
+def test_every_exported_name_resolves():
+    package = importlib.import_module("fracheat")
+    modules = [package] + [
+        importlib.import_module(f"fracheat.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), (
+                f"{module.__name__}.__all__ names {name}, which it lacks")
+
+
+def test_oracles_import_and_are_not_collected():
+    """The tests' reference implementations import from any test module,
+    and hold no file that pytest would collect as tests."""
+    from oracles import timelaw
+    oracles = ROOT / "tests" / "oracles"
+    assert Path(timelaw.__file__).resolve().parent == oracles
+    assert not [p.name for p in oracles.rglob("*.py")
+                if p.name.startswith("test_") or p.name.endswith("_test.py")]

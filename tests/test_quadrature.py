@@ -22,7 +22,6 @@ from fracheat.quadrature import (
     euler_tail_sum,
     integrate_adaptive,
     integrate_jacobi_singular,
-    integrate_oscillatory_ray,
     kernel_contour_values,
 )
 
@@ -131,21 +130,20 @@ class TestJacobiSingular:
 
 class TestOscillatoryRay:
     def test_gaussian_center(self):
-        res = integrate_oscillatory_ray(2, 1, 0.0, 1.0, 1e-10)
-        assert_allclose(res.value, 1.0 / math.sqrt(4.0 * math.pi),
-                        atol=1e-10)
+        vals, _, _ = kernel_contour_values(2, 1, 0.0, 1.0, 1e-10)
+        assert_allclose(vals[0], 1.0 / math.sqrt(4.0 * math.pi), atol=1e-10)
 
     def test_gaussian_offcenter(self):
-        res = integrate_oscillatory_ray(2, 1, 2.0, 1.0, 1e-10)
-        assert_allclose(res.value, math.exp(-1.0) / math.sqrt(4.0 * math.pi),
+        vals, _, _ = kernel_contour_values(2, 1, 2.0, 1.0, 1e-10)
+        assert_allclose(vals[0], math.exp(-1.0) / math.sqrt(4.0 * math.pi),
                         atol=1e-10)
 
     def test_third_order_at_origin(self):
         # frozen from a finite-cutoff oscillatory quadrature oracle with
         # Richardson extrapolation in the cutoff; the value coincides with
         # the Airy function at 0 once rescaled by (3t)^{1/3}.
-        res = integrate_oscillatory_ray(3, 1, 0.0, 1.0 / 3.0, 1e-10)
-        assert_allclose(res.value, 0.3550280538878172, atol=1e-9)
+        vals, _, _ = kernel_contour_values(3, 1, 0.0, 1.0 / 3.0, 1e-10)
+        assert_allclose(vals[0], 0.3550280538878172, atol=1e-9)
 
     @pytest.mark.parametrize("x, t, expected", [
         # frozen from extended-precision rotated-contour integration
@@ -154,13 +152,13 @@ class TestOscillatoryRay:
         (-1.5, 1.0, 0.3040158738216629),
     ])
     def test_fifth_order_values(self, x, t, expected):
-        res = integrate_oscillatory_ray(5, 1, x, t, 1e-10)
-        assert_allclose(res.value, expected, atol=1e-9)
+        vals, _, _ = kernel_contour_values(5, 1, x, t, 1e-10)
+        assert_allclose(vals[0], expected, atol=1e-9)
 
     def test_fifth_order_mirror_symmetry(self):
-        plus = integrate_oscillatory_ray(5, 1, -1.5, 1.0, 1e-10)
-        minus = integrate_oscillatory_ray(5, -1, 1.5, 1.0, 1e-10)
-        assert_allclose(plus.value, minus.value, atol=1e-10)
+        plus, _, _ = kernel_contour_values(5, 1, -1.5, 1.0, 1e-10)
+        minus, _, _ = kernel_contour_values(5, -1, 1.5, 1.0, 1e-10)
+        assert_allclose(plus[0], minus[0], atol=1e-10)
 
     @pytest.mark.parametrize("x, t, expected", [
         # frozen from extended-precision cosine-transform integration
@@ -172,41 +170,41 @@ class TestOscillatoryRay:
     def test_fourth_order_values(self, x, t, expected):
         # k_4 = -1 is the well-posed sign; the engine bakes it into the
         # even-n reduction, so the sign argument is ignored for even n.
-        res = integrate_oscillatory_ray(4, -1, x, t, 1e-11)
-        assert_allclose(res.value, expected, atol=1e-10)
+        vals, _, _ = kernel_contour_values(4, -1, x, t, 1e-11)
+        assert_allclose(vals[0], expected, atol=1e-10)
 
     def test_even_matches_independent_cosine_path(self):
         # Two code paths: the contour engine versus QUADPACK's semi-infinite
         # integral of e^{-t z^n} cos(x z) / pi.
         for x in (0.0, 0.7, 2.2):
-            ray = integrate_oscillatory_ray(4, -1, x, 1.0, 1e-11)
+            ray, _, _ = kernel_contour_values(4, -1, x, 1.0, 1e-11)
             direct, _ = quad(
                 lambda z: math.exp(-z ** 4) * math.cos(x * z) / math.pi,
                 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)
-            assert_allclose(ray.value, direct, atol=1e-10)
+            assert_allclose(ray[0], direct, atol=1e-10)
 
     @pytest.mark.parametrize("x", [-3.0, -0.5, 0.0, 1.0, 4.0])
     def test_split_radius_invariance(self, x):
-        base = integrate_oscillatory_ray(3, 1, x, 1.0, 1e-10)
-        moved = integrate_oscillatory_ray(3, 1, x, 1.0, 1e-10,
-                                          radius_scale=1.1)
-        assert abs(base.value - moved.value) <= 1e-8
+        base, _, _ = kernel_contour_values(3, 1, x, 1.0, 1e-10)
+        moved, _, _ = kernel_contour_values(3, 1, x, 1.0, 1e-10,
+                                            radius_scale=1.1)
+        assert abs(base[0] - moved[0]) <= 1e-8
 
     def test_batch_matches_pointwise(self):
         xs = np.linspace(-4.0, 4.0, 17)
         vals, err, _ = kernel_contour_values(3, 1, xs, 1.0, 1e-10)
         for i in (0, 5, 11, 16):
-            single = integrate_oscillatory_ray(3, 1, float(xs[i]), 1.0,
-                                               1e-10)
-            assert_allclose(vals[i], single.value, atol=1e-8)
+            single, _, _ = kernel_contour_values(3, 1, float(xs[i]), 1.0,
+                                                 1e-10)
+            assert_allclose(vals[i], single[0], atol=1e-8)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
-            integrate_oscillatory_ray(3, 1, 0.0, -1.0)
+            kernel_contour_values(3, 1, 0.0, -1.0)
         with pytest.raises(DomainError):
-            integrate_oscillatory_ray(1, 1, 0.0, 1.0)
+            kernel_contour_values(1, 1, 0.0, 1.0)
         with pytest.raises(DomainError):
-            integrate_oscillatory_ray(3, 2, 0.0, 1.0)
+            kernel_contour_values(3, 2, 0.0, 1.0)
 
 
 class TestEulerTailSum:

@@ -47,7 +47,7 @@ from fracheat.specfun import (
     wright_guard,
     wright_w_grid,
 )
-from fracheat.timechange import TimeChangeLaw, time_density_grid
+from oracles import timelaw
 
 # value of the solution at the origin for n = 2, alpha = 1/2, t = 1:
 # u(0, 1) = W(0) / 2 = 1 / (2 * Gamma(3/4))
@@ -159,8 +159,10 @@ def test_time_profile_matches_series_routes(alpha):
     assert prof.fit_err <= solver._KERNEL_TOL
     guard = 0.989 * wright_guard(-alpha, 1.0 - alpha)
     xs = np.linspace(0.0, min(guard, prof.x_clip), 13)
-    route = "stable" if 0.5 <= alpha <= 0.9 else "wright"
-    want = time_density_grid(TimeChangeLaw(alpha, 1.0, route), xs)
+    if 0.5 <= alpha <= 0.9:
+        want = timelaw.stable_density(alpha, xs, 1.0)
+    else:
+        want = timelaw.wright_density(alpha, xs, 1.0)
     assert_allclose(prof.profile(xs), want, rtol=0.0, atol=1e-12)
 
 
@@ -348,6 +350,30 @@ def test_request_rejects_non_finite_input(kwargs):
         SolutionRequest(**base)
 
 
+#: every entry point that takes a tolerance, as a function of it
+TOL_TAKERS = {
+    "fourier": lambda tol: solve(
+        SolutionRequest(EquationSpec(2), 0.5, 1.0, (0.0, 1.0),
+                        route="fourier_ml"), tol=tol),
+    "subordination": lambda tol: solve(
+        SolutionRequest(EquationSpec(3), 0.5, 1.0, (0.0, 1.0),
+                        route="subordination"), tol=tol),
+    "laplace": lambda tol: laplace_relation_check(
+        EquationSpec(3), 0.5, 0.7, 1.0, tol=tol),
+    "kernel": lambda tol: kernel_density_grid(EquationSpec(3), (0.0, 1.0),
+                                              1.0, tol),
+}
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("taker", list(TOL_TAKERS))
+def test_tol_must_be_positive_and_finite(taker, tol):
+    """Refused up front: a NaN or negative tolerance gave NaN or negative
+    bars, or spent the whole evaluation budget before failing."""
+    with pytest.raises(DomainError):
+        TOL_TAKERS[taker](tol)
+
+
 # ---------------------------------------------------------------------------
 # characteristic function and integer moments
 # ---------------------------------------------------------------------------
@@ -369,7 +395,7 @@ def test_char_fn_degenerate_order(n, beta):
 def test_char_fn_even_is_real_mittag_leffler():
     got = solution_char_fn(EquationSpec(2), 0.6, 1.5, 1.0)
     assert abs(got.imag) < 1e-15
-    want = mittag_leffler(-(1.5 ** 2), MLParams(alpha=0.6))
+    want = mittag_leffler(-(1.5 ** 2), MLParams(alpha=0.6))[0]
     assert_allclose(got.real, want.real, rtol=1e-13, atol=0.0)
 
 

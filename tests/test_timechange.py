@@ -1,14 +1,17 @@
-"""Cross-validation of the analytic routes to the random-time density.
+"""Cross-validation of the random-time density.
 
-The density of the random time admits four independent constructions
-(Wright series, fractional integral of a one-sided stable density, rescaled
-spectrally negative stable density, staged product convolution).  Every test
-here either pins one route against a closed form, plays two routes against
-each other, or checks a global invariant (normalization, moments) by
-quadrature against the closed-form moment formula.
+The package computes the density by the first-passage duality with the
+one-sided stable law.  Four independent constructions serve as oracles
+(``tests/oracles/timelaw.py``: Wright series, fractional integral of a
+one-sided stable density, rescaled spectrally negative stable density,
+staged product convolution).  Every test here either pins one route
+against a closed form, plays two routes against each other, or checks a
+global invariant (normalization, moments) by quadrature against the
+closed-form moment formula.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,16 +35,13 @@ from fracheat.specfun import (
     wright_guard,
 )
 from fracheat.timechange import (
-    GjLaw,
     TimeChangeLaw,
-    gj_density,
     time_density,
-    time_density_frac_integral,
     time_density_grid,
-    time_density_product,
-    time_density_stable,
     time_moment,
 )
+from oracles import timelaw
+from oracles.timelaw import GjLaw, gj_density
 
 
 def half_alpha_density(u: float, t: float) -> float:
@@ -71,23 +71,23 @@ def time_tail_probability(alpha: float, u0: float, t: float,
     return integrate_adaptive(f, 0.0, t, tol).value
 
 
-def weighted_route_integral(law: TimeChangeLaw, delta: float = 0.0, *,
+def weighted_route_integral(alpha: float, t: float, delta: float = 0.0, *,
                             nodes: int = 20, panels: int = 2,
                             depth: float = 50.0) -> float:
-    """Quadrature of u^delta times the density over (0, infinity).
+    """Quadrature of u^delta times the Wright-route density over
+    (0, infinity).
 
     Splits into an adaptive bulk below the series guard (vectorized float
     evaluations) and fixed Gauss-Legendre panels across the
     superexponentially decaying mid tail; the remainder beyond the cutoff
     is below exp(-depth) and is dropped.
     """
-    alpha, t = law.alpha, law.t
     scale = t**alpha
     x_bulk = 0.98 * 0.999 * wright_guard(-alpha, 1.0 - alpha)
     x_cut = tail_cutoff(alpha, depth)
 
     def f(us: np.ndarray) -> np.ndarray:
-        return time_density_grid(law, us)
+        return timelaw.wright_density(alpha, us, t)
 
     if delta == int(delta):
         def fw(us: np.ndarray) -> np.ndarray:
@@ -109,42 +109,40 @@ def weighted_route_integral(law: TimeChangeLaw, delta: float = 0.0, *,
 
 
 class TestTimeChangeLaw:
-    def test_default_route_is_wright(self):
-        law = TimeChangeLaw(alpha=0.5, t=1.0)
-        assert law.route == "wright"
+    """The law's two fields, and the domains of the oracle routes that
+    replaced its route knob."""
+
+    def test_law_has_two_fields(self):
+        names = [f.name for f in dataclasses.fields(TimeChangeLaw)]
+        assert names == ["alpha", "t"]
 
     def test_product_route_derives_m(self):
-        law = TimeChangeLaw(alpha=0.25, t=1.0, route="product")
-        assert law.m == 4
+        assert timelaw.product_order(0.25) == 4
 
     def test_product_route_accepts_explicit_m(self):
-        law = TimeChangeLaw(alpha=1.0 / 3.0, t=2.0, route="product", m=3)
-        assert law.m == 3
+        us = np.array([0.7, 1.3])
+        assert_allclose(timelaw.product_density(np.int64(3), us, 2.0),
+                        timelaw.product_density(3, us, 2.0), rtol=0, atol=0)
+        for m in (1, 2.5):
+            with pytest.raises(DomainError):
+                timelaw.product_density(m, us, 2.0)
 
     @pytest.mark.parametrize("alpha", [0.4, 0.37, 0.9])
     def test_product_route_needs_reciprocal_integer(self, alpha):
         with pytest.raises(DomainError):
-            TimeChangeLaw(alpha=alpha, t=1.0, route="product")
+            timelaw.product_order(alpha)
 
     @pytest.mark.parametrize("alpha", [0.3, 0.49])
     def test_stable_route_needs_alpha_at_least_half(self, alpha):
         with pytest.raises(DomainError):
-            TimeChangeLaw(alpha=alpha, t=1.0, route="stable")
+            timelaw.stable_density(alpha, np.array([1.0]), 1.0)
 
     def test_stable_route_rejects_alpha_one(self):
         with pytest.raises(DomainError):
-            TimeChangeLaw(alpha=1.0, t=1.0, route="stable")
-
-    def test_alpha_one_requires_degenerate_route(self):
-        with pytest.raises(DomainError):
-            TimeChangeLaw(alpha=1.0, t=1.0, route="wright")
-
-    def test_degenerate_route_requires_alpha_one(self):
-        with pytest.raises(DomainError):
-            TimeChangeLaw(alpha=0.5, t=1.0, route="degenerate")
+            timelaw.stable_density(1.0, np.array([1.0]), 1.0)
 
     def test_degenerate_law_is_valid_at_alpha_one(self):
-        law = TimeChangeLaw(alpha=1.0, t=2.0, route="degenerate")
+        law = TimeChangeLaw(alpha=1.0, t=2.0)
         assert law.alpha == 1.0
 
     @pytest.mark.parametrize("alpha", [0.0, -0.5, 1.5])
@@ -156,65 +154,74 @@ class TestTimeChangeLaw:
         with pytest.raises(DomainError):
             TimeChangeLaw(alpha=0.5, t=0.0)
 
-    def test_unknown_route(self):
-        with pytest.raises(DomainError):
-            TimeChangeLaw(alpha=0.5, t=1.0, route="laplace")
+
+#: every construction of the density at alpha = 1/2, as a function of (u, t)
+HALF_ALPHA_ROUTES = {
+    "wright": lambda u, t: timelaw.wright_density(0.5, u, t),
+    "frac_integral": lambda u, t: timelaw.frac_integral_density(0.5, u, t),
+    "stable": lambda u, t: timelaw.stable_density(0.5, u, t),
+    "product": lambda u, t: timelaw.product_density(2, u, t),
+    "duality": lambda u, t: time_density_grid(TimeChangeLaw(0.5, t), u),
+}
 
 
 class TestHalfAlphaCollapse:
     """At alpha = 1/2 every route must reproduce the half-Gaussian."""
 
-    ROUTES = ["wright", "frac_integral", "stable", "product"]
+    ROUTES = list(HALF_ALPHA_ROUTES)
 
     @pytest.mark.parametrize("route", ROUTES)
     @pytest.mark.parametrize("u", [0.3, 1.0, 2.0, 4.0])
     def test_matches_closed_form(self, route, u):
-        law = TimeChangeLaw(alpha=0.5, t=1.0, route=route)
-        assert_allclose(time_density(law, u), half_alpha_density(u, 1.0),
-                        rtol=0, atol=1e-11)
+        got = HALF_ALPHA_ROUTES[route](np.array([u]), 1.0)[0]
+        assert_allclose(got, half_alpha_density(u, 1.0), rtol=0, atol=1e-11)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_origin_value(self, route):
-        law = TimeChangeLaw(alpha=0.5, t=1.0, route=route)
-        assert_allclose(time_density(law, 0.0), 1.0 / math.sqrt(math.pi),
-                        rtol=1e-13)
+        got = HALF_ALPHA_ROUTES[route](np.array([0.0]), 1.0)[0]
+        assert_allclose(got, 1.0 / math.sqrt(math.pi), rtol=1e-13)
 
     @pytest.mark.parametrize("route", ROUTES)
     def test_negative_u_gives_zero(self, route):
-        law = TimeChangeLaw(alpha=0.5, t=1.0, route=route)
-        vals = time_density_grid(law, np.array([-2.0, -0.1]))
+        vals = HALF_ALPHA_ROUTES[route](np.array([-2.0, -0.1]), 1.0)
         assert_allclose(vals, 0.0, atol=0.0)
 
     def test_other_time_scale(self):
-        law = TimeChangeLaw(alpha=0.5, t=2.5, route="wright")
-        assert_allclose(time_density(law, 1.3), half_alpha_density(1.3, 2.5),
-                        rtol=1e-12)
+        got = timelaw.wright_density(0.5, np.array([1.3]), 2.5)[0]
+        assert_allclose(got, half_alpha_density(1.3, 2.5), rtol=1e-12)
 
 
 class TestCrossRouteAnchors:
     def test_frac_integral_matches_wright(self):
-        want = time_density(TimeChangeLaw(alpha=0.6, t=1.0), 0.8)
-        got = time_density_frac_integral(0.6, 0.8, 1.0)
+        want = timelaw.wright_density(0.6, np.array([0.8]), 1.0)
+        got = timelaw.frac_integral_density(0.6, np.array([0.8]), 1.0)
         assert_allclose(got, want, rtol=0, atol=1e-6)
 
     def test_stable_matches_wright(self):
-        want = time_density(TimeChangeLaw(alpha=0.75, t=1.0), 0.5)
-        got = time_density_stable(0.75, 0.5, 1.0)
+        want = timelaw.wright_density(0.75, np.array([0.5]), 1.0)
+        got = timelaw.stable_density(0.75, np.array([0.5]), 1.0)
         assert_allclose(got, want, rtol=0, atol=1e-6)
 
     def test_product_matches_wright(self):
-        want = time_density(TimeChangeLaw(alpha=1.0 / 3.0, t=1.0), 0.7)
-        got = time_density_product(3, 0.7, 1.0)
+        want = timelaw.wright_density(1.0 / 3.0, np.array([0.7]), 1.0)
+        got = timelaw.product_density(3, np.array([0.7]), 1.0)
         assert_allclose(got, want, rtol=0, atol=1e-5)
 
 
-def _available_routes(alpha: float) -> list[str]:
-    routes = ["wright", "frac_integral"]
+def _available_routes(alpha: float, t: float) -> dict:
+    """Every construction of the density at ``(alpha, t)`` other than the
+    Wright route, as a function of an array of u."""
+    routes = {
+        "frac_integral": lambda us: timelaw.frac_integral_density(alpha, us,
+                                                                  t),
+        "duality": lambda us: time_density_grid(TimeChangeLaw(alpha, t), us),
+    }
     if 0.5 <= alpha < 1.0:
-        routes.append("stable")
+        routes["stable"] = lambda us: timelaw.stable_density(alpha, us, t)
     m = 1.0 / alpha
     if abs(m - round(m)) < 1e-12:
-        routes.append("product")
+        routes["product"] = lambda us: timelaw.product_density(round(m), us,
+                                                               t)
     return routes
 
 
@@ -226,15 +233,11 @@ class TestRouteAgreement:
     @pytest.mark.parametrize("t", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.75, 1.0 / 3.0, 0.25])
     def test_pointwise_agreement(self, alpha, t):
-        routes = _available_routes(alpha)
-        assert len(routes) >= 2
-        baseline = time_density_grid(TimeChangeLaw(alpha=alpha, t=t),
-                                     np.array(self.U_GRID))
-        for route in routes[1:]:
-            law = TimeChangeLaw(alpha=alpha, t=t, route=route)
+        baseline = timelaw.wright_density(alpha, np.array(self.U_GRID), t)
+        for route, density in _available_routes(alpha, t).items():
             for u, want in zip(self.U_GRID, baseline):
                 try:
-                    got = time_density(law, u)
+                    got = density(np.array([u]))[0]
                 except SeriesRangeError:
                     # The stable series refuses points beyond its guard
                     # rather than returning cancelled digits; the other
@@ -248,8 +251,7 @@ class TestRouteAgreement:
 class TestNormalization:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7])
     def test_wright_mass_is_one(self, alpha):
-        law = TimeChangeLaw(alpha=alpha, t=1.0, route="wright")
-        mass = weighted_route_integral(law)
+        mass = weighted_route_integral(alpha, 1.0)
         assert_allclose(mass, 1.0, rtol=0, atol=1e-8)
 
     def test_frac_integral_mass_is_one(self):
@@ -259,9 +261,8 @@ class TestNormalization:
         mass = 0.0
         for lo, hi in zip(edges[:-1], edges[1:]):
             um = 0.5 * (hi - lo) * zn + 0.5 * (hi + lo)
-            vals = [time_density_frac_integral(alpha, float(u), t)
-                    for u in um]
-            mass += float(np.sum(0.5 * (hi - lo) * zw * np.array(vals)))
+            vals = timelaw.frac_integral_density(alpha, um, t)
+            mass += float(np.sum(0.5 * (hi - lo) * zw * vals))
         assert_allclose(mass, 1.0, rtol=0, atol=1e-7)
 
     def test_stable_mass_is_one(self):
@@ -269,11 +270,10 @@ class TestNormalization:
         # quadrature stops just below it and the remaining tail mass comes
         # from the survival probability of the random time.
         alpha, t = 0.75, 1.0
-        law = TimeChangeLaw(alpha=alpha, t=t, route="stable")
         u_bulk = 3.36
 
         def f(us: np.ndarray) -> np.ndarray:
-            return time_density_grid(law, us)
+            return timelaw.stable_density(alpha, us, t)
 
         bulk = integrate_adaptive(f, 0.0, u_bulk, 1e-12).value
         tail = time_tail_probability(alpha, u_bulk, t)
@@ -283,11 +283,10 @@ class TestNormalization:
     @pytest.mark.parametrize("m", [2, 3])
     def test_product_mass_is_one(self, m):
         alpha = 1.0 / m
-        law = TimeChangeLaw(alpha=alpha, t=1.0, route="product")
         hi = tail_cutoff(alpha, 35.0)
 
         def f(us: np.ndarray) -> np.ndarray:
-            return time_density_grid(law, us)
+            return timelaw.product_density(m, us, 1.0)
 
         mass = integrate_adaptive(f, 0.0, hi, 1e-10).value
         assert_allclose(mass, 1.0, rtol=0, atol=1e-8)
@@ -297,8 +296,7 @@ class TestMoments:
     @pytest.mark.parametrize("delta", [0.5, 1.0, 2.0, 3.0])
     def test_wright_moments(self, delta):
         alpha, t = 0.5, 1.0
-        law = TimeChangeLaw(alpha=alpha, t=t, route="wright")
-        got = weighted_route_integral(law, delta)
+        got = weighted_route_integral(alpha, t, delta)
         assert_allclose(got, time_moment(alpha, delta, t), rtol=1e-8)
 
     def test_wright_third_moment_heavier_tail(self):
@@ -306,17 +304,15 @@ class TestMoments:
         # carries a few parts in 1e5 of the moment), so this pins the
         # extended-precision tail evaluations.
         alpha, t, delta = 0.75, 2.0, 3.0
-        law = TimeChangeLaw(alpha=alpha, t=t, route="wright")
-        got = weighted_route_integral(law, delta)
+        got = weighted_route_integral(alpha, t, delta)
         assert_allclose(got, time_moment(alpha, delta, t), rtol=1e-8)
 
     def test_stable_first_moment(self):
         alpha, t = 0.9, 2.0
-        law = TimeChangeLaw(alpha=alpha, t=t, route="stable")
         u_bulk = 3.34
 
         def f(us: np.ndarray) -> np.ndarray:
-            return us * time_density_grid(law, us)
+            return us * timelaw.stable_density(alpha, us, t)
 
         bulk = integrate_adaptive(f, 0.0, u_bulk, 1e-12).value
         # Integration by parts turns the tail of the first moment into
@@ -432,7 +428,7 @@ class TestGjDensity:
 
 class TestDegenerateRoute:
     def test_density_refuses_point_mass(self):
-        law = TimeChangeLaw(alpha=1.0, t=1.0, route="degenerate")
+        law = TimeChangeLaw(alpha=1.0, t=1.0)
         with pytest.raises(DomainError):
             time_density(law, 1.0)
 
@@ -448,8 +444,56 @@ class TestSelfSimilarity:
            t=st.floats(min_value=0.4, max_value=3.0))
     @settings(max_examples=25, deadline=None)
     def test_wright_route_rescales(self, alpha, u, t):
-        law_t = TimeChangeLaw(alpha=alpha, t=t, route="wright")
-        law_1 = TimeChangeLaw(alpha=alpha, t=1.0, route="wright")
-        lhs = time_density(law_t, u)
-        rhs = t**-alpha * time_density(law_1, u * t**-alpha)
+        lhs = timelaw.wright_density(alpha, np.array([u]), t)
+        rhs = t**-alpha * timelaw.wright_density(
+            alpha, np.array([u * t**-alpha]), 1.0)
         assert_allclose(lhs, rhs, rtol=1e-9, atol=1e-300)
+
+
+class TestDualityDensity:
+    """The package's density against the Wright oracle inside its guard,
+    and on its own near alpha = 1, where every series route gives up."""
+
+    @pytest.mark.parametrize("t", [0.05, 20.0])
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.5, 0.7, 0.9])
+    def test_matches_wright_inside_guard(self, alpha, t):
+        # the float64 tier of the Wright series is good to ~1e-12 relative
+        # near its edge; the duality is good to ~3e-14 there
+        xs = np.linspace(0.0, 0.989 * wright_guard(-alpha, 1.0 - alpha), 13)
+        us = xs * t**alpha
+        got = time_density_grid(TimeChangeLaw(alpha, t), us)
+        want = timelaw.wright_density(alpha, us, t)
+        assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.999, 0.9995])
+    def test_mass_and_mean_near_alpha_one(self, alpha):
+        # the density piles up just right of u = 1 (its peak sits near
+        # 1.005) and vanishes within ~0.01 beyond it; panels shrink
+        # geometrically towards 1 from the left and are uniform across it
+        edges = np.concatenate((1.0 - np.geomspace(1.0, 0.01, 8),
+                                np.linspace(0.99, 1.02, 16)[1:]))
+        zn, zw = leggauss(20)
+        half = 0.5 * np.diff(edges)
+        us = ((edges[:-1] + half)[:, None] + half[:, None] * zn).ravel()
+        ws = (half[:, None] * zw).ravel()
+        f = time_density_grid(TimeChangeLaw(alpha, 1.0), us)
+        assert abs(ws @ f - 1.0) <= 1e-12
+        assert abs(ws @ (us * f) - time_moment(alpha, 1.0, 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("alpha", [0.999, 0.9995])
+    def test_far_tail_near_alpha_one_is_finite(self, alpha):
+        vals = time_density_grid(TimeChangeLaw(alpha, 1.0),
+                                 np.array([2.0, 5.0]))
+        assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+
+
+class TestWrightOracleTail:
+    """Near alpha = 1 the leading-order tail exponent leaves the float
+    range at moderate x; the Wright oracle must clamp there, not raise."""
+
+    @pytest.mark.parametrize("alpha, x", [(0.999, 5.0), (0.9995, 2.0),
+                                          (0.9999, 1.1)])
+    def test_log_decay_clamps_past_float_range(self, alpha, x):
+        assert timelaw.wright_log_decay(x, -alpha) == -math.inf
+        got = timelaw.wright_density(alpha, np.array([x]), 1.0)
+        assert got[0] == 0.0
