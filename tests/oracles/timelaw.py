@@ -111,11 +111,10 @@ def wright_density(alpha: float, u, t: float) -> np.ndarray:
 # Fractional-integral and spectrally negative routes
 # ---------------------------------------------------------------------------
 
-def frac_integral_density(alpha: float, u, t: float,
-                          tol: float = 1e-9) -> np.ndarray:
+def frac_integral_density(alpha: float, u, t: float) -> np.ndarray:
     """Riemann-Liouville route: ``(1/Gamma(1-alpha)) int_0^t (t-w)^{-alpha}
     q(w; u) dw`` with ``q`` the one-sided stable density whose Laplace
-    exponent is ``u s^alpha``, one integral per point."""
+    exponent is ``u s^alpha``, one integral to 1e-9 per point."""
 
     def one(v: float) -> float:
         stable = StableOneSided(alpha=alpha, u=v)
@@ -124,7 +123,7 @@ def frac_integral_density(alpha: float, u, t: float,
             return stable_one_sided_density_grid(ws, stable)
 
         res = integrate_jacobi_singular(
-            f, 0.0, t, JacobiWeight(exponent=-alpha, endpoint="right"), tol)
+            f, 0.0, t, JacobiWeight(exponent=-alpha, endpoint="right"), 1e-9)
         return res.value / math.gamma(1.0 - alpha)
 
     return _on_half_line(alpha, u, t,
