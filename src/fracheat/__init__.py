@@ -25,8 +25,6 @@ from ._errors import (
 )
 from .kernel import (
     EquationSpec,
-    SignedDensitySample,
-    kernel_density,
     kernel_density_grid,
     kernel_laplace,
     kernel_moment,
@@ -43,7 +41,6 @@ from .solver import (
 )
 from .timechange import (
     TimeChangeLaw,
-    time_density,
     time_density_grid,
     time_moment,
 )
@@ -58,14 +55,11 @@ __all__ = [
     "ContourError",
     "StencilUnderflowError",
     "EquationSpec",
-    "SignedDensitySample",
     "make_equation_spec",
-    "kernel_density",
     "kernel_density_grid",
     "kernel_moment",
     "kernel_laplace",
     "TimeChangeLaw",
-    "time_density",
     "time_density_grid",
     "time_moment",
     "SolutionRequest",

@@ -4,8 +4,8 @@ For ``n = 2`` this is the Gaussian heat kernel; for ``n > 2`` the kernel
 ``p_n(x, t) = (1/2 pi) int exp(i x z + k_n t (i z)^n) dz`` is a genuinely
 signed object (it still integrates to one).  The module owns the sign
 coefficient ``k_n``, the root system driving the spatial Laplace transform,
-pointwise and grid kernel evaluation, the closed-form moments, and a
-numeric moment route used to cross-validate them.
+kernel evaluation on an array of space points, the closed-form moments,
+and a numeric moment route used to cross-validate them.
 
 Well-posedness forces ``k_n = (-1)^{q+1}`` for even ``n = 2q``; for odd
 ``n`` both signs give well-defined kernels that are mirror images of each
@@ -18,23 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from scipy.special import gammaln
+
 from ._errors import DomainError
 from .quadrature import (
     DEFAULT_TOL,
-    EVAL_BUDGET,
     QuadResult,
     euler_tail_sum,
     integrate_adaptive,
     kernel_contour_values,
 )
+from .specfun import closed_form
 
 __all__ = [
     "EquationSpec",
     "RootSystem",
-    "SignedDensitySample",
     "make_equation_spec",
     "root_system",
-    "kernel_density",
     "kernel_density_grid",
     "kernel_moment",
     "kernel_moment_numeric",
@@ -80,18 +80,17 @@ class RootSystem:
     ``roots[k]`` is ``e^{2 k pi i / n}`` (for ``k_n = 1``) or
     ``e^{(2k+1) pi i / n}`` (for ``k_n = -1``), ``k = 0..n-1``.  ``incoming``
     / ``outgoing`` index the roots with negative / positive real part (none
-    is ever purely imaginary).  ``z[k] = -roots[k]/n`` is the s-independent
-    factor of the constants solving the interface Vandermonde system.
+    is ever purely imaginary).
     """
 
     roots: np.ndarray
     incoming: tuple
     outgoing: tuple
-    z: np.ndarray
 
 
 def root_system(spec: EquationSpec) -> RootSystem:
-    """Roots ``theta_k`` with ``theta_k^n = k_n`` and weights ``z_k``."""
+    """The roots ``theta_k`` of ``theta^n = k_n``, split by the sign of
+    their real part."""
     n = spec.n
     ks = np.arange(n)
     if spec.k == 1:
@@ -101,54 +100,34 @@ def root_system(spec: EquationSpec) -> RootSystem:
     roots = np.exp(1j * angles)
     incoming = tuple(int(i) for i in np.nonzero(roots.real < -1e-12)[0])
     outgoing = tuple(int(i) for i in np.nonzero(roots.real > 1e-12)[0])
-    return RootSystem(roots=roots, incoming=incoming, outgoing=outgoing,
-                      z=-roots / n)
+    return RootSystem(roots=roots, incoming=incoming, outgoing=outgoing)
 
 
-@dataclass(frozen=True)
-class SignedDensitySample:
-    """One kernel value: possibly negative for ``n > 2``."""
+def _require_time(t: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"time must be positive and finite, got {t}")
 
-    x: float
-    value: float
-    error_estimate: float
 
-    def __post_init__(self) -> None:
-        if not self.error_estimate >= 0.0:
-            raise DomainError("error estimate must be nonnegative")
+def _require_tol(tol: float) -> None:
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
 def kernel_density_grid(spec: EquationSpec, x, t: float,
-                        tol: float = DEFAULT_TOL, *,
-                        budget: int = EVAL_BUDGET):
-    """Kernel values on an array of space points at one time.
+                        tol: float = DEFAULT_TOL):
+    """The signed kernel ``p_n(x, t)`` on an array of space points.
 
-    Returns ``(values, error_estimate, evaluations)``; the contour panels
-    are shared across the whole grid, so this is much cheaper than a loop
-    over :func:`kernel_density`.
+    Returns ``(values, error_estimate, evaluations)``: the contour panels
+    are shared across the whole array, and one absolute error estimate
+    covers every value.  Values are not clamped; ``solve`` sets the
+    noise-level negatives of ``n = 2`` to zero.
     """
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    _require_time(t)
+    _require_tol(tol)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    return kernel_contour_values(spec.n, spec.k, x_arr, t, tol, budget=budget)
-
-
-def kernel_density(spec: EquationSpec, x: float, t: float,
-                   tol: float = DEFAULT_TOL) -> SignedDensitySample:
-    """The signed kernel ``p_n(x, t)`` at one point.
-
-    For ``n = 2`` the kernel is a true probability density, so a value
-    driven negative by quadrature noise (within the error estimate) is
-    clamped to zero.
-    """
-    vals, err, _ = kernel_density_grid(spec, np.array([float(x)]), t, tol)
-    value = float(vals[0])
-    err = float(err)
-    if spec.n == 2 and value < 0.0 and -value <= 10.0 * err + 1e-300:
-        value = 0.0
-    return SignedDensitySample(x=float(x), value=value, error_estimate=err)
+    if not np.all(np.isfinite(x_arr)):
+        raise DomainError("space points must be finite")
+    return kernel_contour_values(spec.n, spec.k, x_arr, t, tol)
 
 
 def kernel_moment(spec: EquationSpec, r: int, t: float) -> float:
@@ -159,13 +138,16 @@ def kernel_moment(spec: EquationSpec, r: int, t: float) -> float:
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise DomainError(f"moment order must be an integer >= 0, got {r}")
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    _require_time(t)
     if r % spec.n != 0:
         return 0.0
     j = r // spec.n
-    return ((-1.0) ** r * (spec.k * t) ** j
-            * math.gamma(r + 1.0) / math.gamma(j + 1.0))
+    return closed_form(
+        (-1.0) ** r * spec.k ** j,
+        float(gammaln(r + 1.0) - gammaln(j + 1.0)) + j * math.log(t),
+        lambda: ((-1.0) ** r * (spec.k * t) ** j
+                 * math.gamma(r + 1.0) / math.gamma(j + 1.0)),
+        f"moment {r} of the kernel")
 
 
 # ---------------------------------------------------------------------------
@@ -181,8 +163,11 @@ def kernel_laplace(spec: EquationSpec, x: float, s: float) -> float:
     possible.  The tiny residual imaginary part of the symmetric sum is
     discarded.
     """
-    if not s > 0.0:
-        raise DomainError(f"Laplace parameter must be positive, got {s}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(
+            f"Laplace parameter must be positive and finite, got {s}")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     rs = root_system(spec)
     n = spec.n
     root_s = s ** (1.0 / n)
@@ -245,9 +230,12 @@ def _phase_point(n: int, t: float, phase: float) -> float:
     return (phase * n / (n - 1.0)) ** ((n - 1.0) / n) * (n * t) ** (1.0 / n)
 
 
+#: stationary-phase lobes summed on the oscillatory side of odd n
+_MOMENT_BLOCKS = 48
+
+
 def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
-                          tol: float = 1e-9, *,
-                          blocks: int = 48) -> QuadResult:
+                          tol: float = 1e-9) -> QuadResult:
     """``int x^r p_n(x, t) dx`` by quadrature, cross-validating
     :func:`kernel_moment`.
 
@@ -262,8 +250,8 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise DomainError(f"moment order must be an integer >= 0, got {r}")
-    if not t > 0.0:
-        raise DomainError(f"time must be positive, got {t}")
+    _require_time(t)
+    _require_tol(tol)
     n = spec.n
     mag = t ** (r / n) * math.gamma(r + 1.0) / math.gamma(r / n + 1.0)
     abs_tol = tol * max(1.0, mag)
@@ -302,14 +290,13 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     head = integrate_adaptive(f, lo, hi, max(0.5 * abs_tol, head_floor),
                               initial_intervals=init)
 
-    bounds = np.array([
-        _phase_point(n, t, phase0 + j * math.pi) for j in range(blocks + 1)
-    ])
-    base_tol = 0.5 * abs_tol / blocks
-    block_vals = np.empty(blocks)
+    bounds = np.array([_phase_point(n, t, phase0 + j * math.pi)
+                       for j in range(_MOMENT_BLOCKS + 1)])
+    base_tol = 0.5 * abs_tol / _MOMENT_BLOCKS
+    block_vals = np.empty(_MOMENT_BLOCKS)
     evals = head.evaluations
     err_blocks = 0.0
-    for j in range(blocks):
+    for j in range(_MOMENT_BLOCKS):
         a, b = osc_dir * bounds[j], osc_dir * bounds[j + 1]
         if a > b:
             a, b = b, a

@@ -288,7 +288,7 @@ def integrate_jacobi_singular(f, a: float, b: float, weight: JacobiWeight,
 # Signed heat-type kernel contour integral
 # ---------------------------------------------------------------------------
 
-def _even_kernel_values(n: int, x, t: float, tol: float, budget: int):
+def _even_kernel_values(n: int, x, t: float, tol: float):
     """Vectorized ``(1/pi) int_0^inf exp(-t z^n) cos(x z) dz`` for even n.
 
     For even ``n`` and the sign convention that makes the semigroup
@@ -302,11 +302,11 @@ def _even_kernel_values(n: int, x, t: float, tol: float, budget: int):
     def f(z):
         return np.exp(-t * z[:, None] ** n) * np.cos(np.outer(z, x))
 
-    value, err, evals = _adaptive(f, 0.0, z_cut, tol * math.pi, budget)
+    value, err, evals = _adaptive(f, 0.0, z_cut, tol * math.pi, EVAL_BUDGET)
     return value / math.pi, err / math.pi, evals
 
 
-def _odd_kernel_values(n: int, k: int, x, t: float, tol: float, budget: int,
+def _odd_kernel_values(n: int, k: int, x, t: float, tol: float,
                        radius_scale: float = 1.0):
     """Vectorized signed kernel for odd n via tail rotation.
 
@@ -335,7 +335,7 @@ def _odd_kernel_values(n: int, k: int, x, t: float, tol: float, budget: int,
         zc = np.asarray(z, dtype=complex)
         return np.exp(1j * np.outer(zc, x) + k * t * (1j * zc[:, None]) ** n)
 
-    budget_left = [budget]
+    budget_left = [EVAL_BUDGET]
     part_tol = tol * math.pi / 3.0
 
     def spend(val_err_evals):
@@ -392,16 +392,15 @@ def _odd_kernel_values(n: int, k: int, x, t: float, tol: float, budget: int,
 
 def kernel_contour_values(n: int, sign: int, x, t: float,
                           tol: float = DEFAULT_TOL, *,
-                          budget: int = EVAL_BUDGET,
                           radius_scale: float = 1.0):
     """Shared-contour kernel values for an array of space points.
 
     Returns ``(values, error_estimate, evaluations)`` with ``values`` shaped
-    like ``x``; panel refinement is shared across the whole array.  For
-    even ``n`` the integrand reduces to ``exp(-t z^n) cos(x z)`` on the
-    real axis.  For odd ``n`` the oscillatory tail is rotated onto the
-    decaying ray at angle ``sign(gamma) * pi / (2 n)`` together with the
-    finite connecting arc; :class:`ContourError` is raised if that ray
+    like ``x``; panel refinement is shared across the whole array, within
+    a budget of ``EVAL_BUDGET`` evaluations.  For even ``n`` the integrand
+    reduces to ``exp(-t z^n) cos(x z)`` on the real axis.  For odd ``n``
+    the oscillatory tail is rotated onto the decaying ray at angle
+    ``sign(gamma) * pi / (2 n)`` together with the finite connecting arc; :class:`ContourError` is raised if that ray
     does not decay.  ``radius_scale`` perturbs the head/ray split radius
     for odd ``n`` (the result must not depend on it; exposed so tests can
     verify that).
@@ -412,11 +411,11 @@ def kernel_contour_values(n: int, sign: int, x, t: float,
         raise DomainError(f"spatial order {n} must be >= 2")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if n % 2 == 0:
-        vals, err, evals = _even_kernel_values(n, x_arr, t, tol, budget)
+        vals, err, evals = _even_kernel_values(n, x_arr, t, tol)
     else:
         if sign not in (-1, 1):
             raise DomainError(f"odd-order sign must be +-1, got {sign}")
-        vals, err, evals = _odd_kernel_values(n, sign, x_arr, t, tol, budget,
+        vals, err, evals = _odd_kernel_values(n, sign, x_arr, t, tol,
                                               radius_scale=radius_scale)
     return vals, err, evals
 

@@ -23,7 +23,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebval
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct
-from scipy.special import gamma as gamma_fn, rgamma, sici
+from scipy.special import gamma as gamma_fn, gammaln, rgamma, sici
 
 from ._errors import ConvergenceError, DomainError, StencilUnderflowError
 from .kernel import (
@@ -43,7 +43,7 @@ from .quadrature import (
 from .specfun import (
     MLParams,
     StableOneSided,
-    mittag_leffler,
+    closed_form,
     mittag_leffler_grid,
     stable_one_sided_density_grid,
 )
@@ -142,16 +142,15 @@ class SolutionField:
 
     ``values`` and ``errors`` are read-only arrays over ``request.x_grid``;
     ``route_used`` names the representation that produced them (``"auto"``
-    resolved).  ``degraded`` records that some Mittag-Leffler evaluation
-    fell in the sector where its asymptotic accuracy is limited; the error
-    estimates already account for it.
+    resolved).  For ``n = 2`` the solution is a probability density, and
+    ``solve`` has set the values that are negative only by noise (within
+    ten error bars) to zero.
     """
 
     request: SolutionRequest
     values: np.ndarray
     errors: np.ndarray
     route_used: str
-    degraded: bool = False
 
     def grid_values(self) -> np.ndarray:
         return self.values
@@ -576,11 +575,12 @@ def _fourier_algebraic_tail(xs: np.ndarray, A: complex, alpha: float,
 
 
 def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
-                  B: float, state: dict) -> tuple[np.ndarray, np.ndarray]:
+                  B: float) -> tuple[np.ndarray, np.ndarray, float]:
     """Head ``int_0^B Re[e^{-i x b} E_alpha(A b^n)] db`` for the unit
     ``A = k_n (-i)^n`` on composite Gauss-Legendre panels whose edges
     equidistribute the integrand's accumulated phase, with the error taken
-    from a half-resolution comparison.
+    from a half-resolution comparison.  Returns the values, those errors
+    and the largest Mittag-Leffler error estimate over the nodes.
 
     A fixed node set (rather than adaptive bisection) keeps the number of
     Mittag-Leffler evaluations predictable: the arbitrary-precision
@@ -606,43 +606,41 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
     edges = np.interp(np.linspace(0.0, phase[-1], npanels + 1), phase, betas)
     edges[0], edges[-1] = 0.0, B
 
-    def transform(es: np.ndarray) -> np.ndarray:
+    def transform(es: np.ndarray) -> tuple[np.ndarray, float]:
         half, ref = _GL16
         mid = 0.5 * (es[1:] + es[:-1])
         rad = 0.5 * (es[1:] - es[:-1])
         bs = (mid[:, None] + rad[:, None] * half[None, :]).ravel()
         ws = (rad[:, None] * ref[None, :]).ravel()
         z = A * bs.astype(complex) ** n
-        vals, errs, degs = mittag_leffler_grid(z, MLParams(alpha=alpha))
-        state["err"] = max(state["err"], float(np.max(errs)))
-        state["degraded"] |= bool(np.any(degs))
+        vals, errs = mittag_leffler_grid(z, MLParams(alpha=alpha))
         phases = np.exp(-1j * np.outer(bs, xs))
-        return (ws[:, None] * (phases * vals[:, None]).real).sum(axis=0)
+        return ((ws[:, None] * (phases * vals[:, None]).real).sum(axis=0),
+                float(np.max(errs)))
 
-    v_fine = transform(edges)
-    v_coarse = transform(edges[::2])
-    return v_fine, np.abs(v_fine - v_coarse)
+    v_fine, ml_fine = transform(edges)
+    v_coarse, ml_coarse = transform(edges[::2])
+    return v_fine, np.abs(v_fine - v_coarse), max(ml_fine, ml_coarse)
 
 
 def _fourier_invert(spec: EquationSpec, alpha: float, ys: np.ndarray,
-                    tol: float) -> tuple[np.ndarray, np.ndarray, bool]:
+                    tol: float) -> tuple[np.ndarray, np.ndarray]:
     """Solution at ``t = 1`` by inverting the characteristic function:
     ``U(y) = (1/pi) int_0^inf Re[e^{-i y b} E_alpha(k_n (-i b)^n)] db``.
 
     The integral is split at a cutoff beyond which the Mittag-Leffler
     factor is replaced by its negative-power expansion, integrated in
-    closed form against the oscillation.  Returns the values, their
-    errors and the Stokes-degradation flag.
+    closed form against the oscillation.  Returns the values and their
+    errors.
     """
     n = spec.n
     A = complex(spec.k) * (-1j) ** n
     B = _fourier_cutoff(alpha, n)
-    state = {"err": 0.0, "degraded": False}
-    head_vals, head_errs = _fourier_head(ys, A, alpha, n, B, state)
+    head_vals, head_errs, ml_err = _fourier_head(ys, A, alpha, n, B)
     tail_vals, tail_err = _fourier_algebraic_tail(ys, A, alpha, n, B)
     values = (head_vals + tail_vals) / math.pi
-    errors = (head_errs + tail_err + state["err"] * B) / math.pi + 0.1 * tol
-    return values, errors, state["degraded"]
+    errors = (head_errs + tail_err + ml_err * B) / math.pi + 0.1 * tol
+    return values, errors
 
 
 def solve(request: SolutionRequest, *, tol: float = 1e-8) -> SolutionField:
@@ -666,13 +664,12 @@ def solve(request: SolutionRequest, *, tol: float = 1e-8) -> SolutionField:
         route = "fourier_ml" if n % 2 == 0 else "subordination"
     s = request.t ** (-alpha / n)
     ys = s * np.asarray(request.x_grid, dtype=float)
-    degraded = False
     if alpha == 1.0 and (route == "subordination" or n % 2):
         values, kerr, _ = kernel_density_grid(spec, ys, 1.0,
                                               min(tol, 1e-10) / s)
         errors = np.full(ys.size, float(kerr))
     elif route == "fourier_ml":
-        values, errors, degraded = _fourier_invert(spec, alpha, ys, tol / s)
+        values, errors = _fourier_invert(spec, alpha, ys, tol / s)
     else:
         values, errors = _subordinate(spec, alpha, ys, tol / s)
     values, errors = s * values, s * errors
@@ -682,7 +679,7 @@ def solve(request: SolutionRequest, *, tol: float = 1e-8) -> SolutionField:
         values[(values < 0.0) & (-values <= 10.0 * errors + 1e-300)] = 0.0
     values.flags.writeable = errors.flags.writeable = False
     return SolutionField(request=request, values=values, errors=errors,
-                         route_used=route, degraded=degraded)
+                         route_used=route)
 
 
 # ---------------------------------------------------------------------------
@@ -695,10 +692,13 @@ def solution_char_fn(spec: EquationSpec, alpha: float, beta: float,
     solution in the space variable."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta}")
     z = complex(spec.k) * (-1j * beta) ** spec.n * t ** alpha
-    return mittag_leffler(z, MLParams(alpha=alpha))[0]
+    values, _ = mittag_leffler_grid(np.array([z]), MLParams(alpha=alpha))
+    return complex(values[0])
 
 
 def solution_moment(spec: EquationSpec, alpha: float, r: int,
@@ -710,15 +710,20 @@ def solution_moment(spec: EquationSpec, alpha: float, r: int,
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise DomainError(f"moment order must be an integer >= 0, got {r}")
     if r % spec.n:
         return 0.0
     j = r // spec.n
-    return ((-1.0) ** r * float(spec.k) ** j * t ** (alpha * j)
-            * math.factorial(r) / float(gamma_fn(alpha * j + 1.0)))
+    return closed_form(
+        (-1.0) ** r * float(spec.k) ** j,
+        float(gammaln(r + 1.0) - gammaln(alpha * j + 1.0))
+        + alpha * j * math.log(t),
+        lambda: ((-1.0) ** r * float(spec.k) ** j * t ** (alpha * j)
+                 * math.factorial(r) / float(gamma_fn(alpha * j + 1.0))),
+        f"moment {r} of the solution")
 
 
 # ---------------------------------------------------------------------------
@@ -738,8 +743,11 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
     """
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not s > 0.0:
-        raise DomainError(f"Laplace parameter must be positive, got {s}")
+    if not 0.0 < s < math.inf:
+        raise DomainError(
+            f"Laplace parameter must be positive and finite, got {s}")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     closed = s ** (alpha - 1.0) * kernel_laplace(spec, x, s ** alpha)
@@ -880,6 +888,8 @@ def caputo_residual(spec: EquationSpec, alpha: float, x: float,
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 64:
         raise DomainError("t_grid must be a 1-d grid with at least 64 nodes")
+    if not np.all(np.isfinite(t_grid)):
+        raise DomainError("t_grid must be finite")
     if t_grid[0] != 0.0:
         raise DomainError("t_grid must start at 0, where the field vanishes "
                           "away from the origin")
@@ -888,8 +898,11 @@ def caputo_residual(spec: EquationSpec, alpha: float, x: float,
         raise DomainError("t_grid must be uniform and increasing")
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not h_x > 0.0:
-        raise DomainError(f"stencil spacing must be positive, got {h_x}")
+    if not 0.0 < h_x < math.inf:
+        raise DomainError(
+            f"stencil spacing must be positive and finite, got {h_x}")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x}")
     n = spec.n
     offsets = np.arange(n + 2) - 0.5 * (n + 1)
     x_nodes = x + offsets * h_x

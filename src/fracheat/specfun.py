@@ -1,9 +1,12 @@
 """Special functions shared by every analytic route.
 
-Covers the reciprocal Gamma function, the Wright function W(x; eta, beta),
-the Mittag-Leffler function E_{alpha,beta}(z), the one-sided (totally
-skewed) stable density with Laplace transform e^{-s^alpha u}, and the
-spectrally negative stable density restricted to the positive half-line.
+Covers the Wright function W(x; eta, beta), the Mittag-Leffler function
+E_alpha(z), the one-sided (totally skewed) stable density with Laplace
+transform e^{-s^alpha u}, and the spectrally negative stable density
+restricted to the positive half-line.  Every Gamma factor of a series term
+is taken as scipy's reciprocal ``rgamma``, which is entire and exactly 0 at
+the non-positive integers: terms that cross a Gamma pole (the Wright
+series has them) vanish instead of raising.
 
 The alternating series here (Wright, the spectrally negative series) lose
 digits catastrophically as the argument grows.  Each one is summed with
@@ -21,9 +24,7 @@ from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, roots_legendre
-from scipy.special import rgamma as _scipy_rgamma
-from scipy.special import wofz
+from scipy.special import gammaln, rgamma, roots_legendre, wofz
 
 from ._errors import ConvergenceError, DomainError, SeriesRangeError
 
@@ -67,16 +68,13 @@ class WrightParams:
 
 @dataclass(frozen=True)
 class MLParams:
-    """Mittag-Leffler parameters (series exponent alpha, offset beta)."""
+    """Mittag-Leffler order alpha in (0, 1]."""
 
     alpha: float
-    beta: float = 1.0
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not math.isfinite(self.beta):
-            raise DomainError(f"beta must be finite, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -110,24 +108,33 @@ class StableSpectrallyNegative:
 
 
 # ---------------------------------------------------------------------------
-# Reciprocal Gamma
+# Closed forms past the float range of their factors
 # ---------------------------------------------------------------------------
 
-def reciprocal_gamma(x):
-    """1 / Gamma(x), entire in x; exactly 0 at non-positive integers.
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
-    Routing every Gamma use through the reciprocal keeps series whose terms
-    legitimately cross Gamma poles (the Wright series does) free of pole
-    exceptions: those terms simply vanish.  Accepts scalars or arrays.
+
+def closed_form(sign: float, log_abs: float, direct, what: str) -> float:
+    """A closed-form value ``sign * exp(log_abs)``, with ``log_abs`` taken
+    from ``gammaln``, so that a factor such as ``r!`` (past ``r = 170``)
+    may leave the float range while the value stays inside it.
+
+    ``direct()`` is the plain product of the factors.  Where it agrees with
+    the log form to 1e-12 it is returned instead, because it is exact on
+    the small integer cases (a ratio of factorials); where a factor
+    overflows or underflows it does not agree.  A value beyond the float
+    range raises :class:`DomainError`.
     """
-    out = _scipy_rgamma(x)
-    if np.ndim(x) == 0:
-        return complex(out) if np.iscomplexobj(out) else float(out)
-    return out
-
-
-def _rgamma_vec(x: np.ndarray) -> np.ndarray:
-    return _scipy_rgamma(x)
+    if log_abs > _LOG_FLOAT_MAX:
+        raise DomainError(
+            f"{what} is about 10^{log_abs / math.log(10.0):.0f}, beyond the "
+            "float range")
+    value = sign * math.exp(log_abs)
+    try:
+        plain = float(direct())
+    except OverflowError:
+        return value
+    return plain if abs(plain - value) <= 1e-12 * abs(value) else value
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +191,7 @@ def _wright_series_f64(x: np.ndarray, eta: float, beta: float):
 
     ks = np.arange(n_terms, dtype=float)
     with np.errstate(over="ignore"):
-        rg = _rgamma_vec(eta * ks + beta)
+        rg = rgamma(eta * ks + beta)
 
     s = np.zeros_like(x)
     c = np.zeros_like(x)
@@ -334,17 +341,17 @@ _ML_ASY_EXPONENT = 25.0
 _ML_LOG_TERM_FLOOR = math.log(1e-18)
 
 
-def _ml_taylor_f64(z: np.ndarray, alpha: float,
-                   beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Float64 Taylor sum of E_{alpha,beta} on a (small-|z|) array, and a
-    bound on its rounding error.
+def _ml_taylor_f64(z: np.ndarray,
+                   alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Float64 Taylor sum of E_alpha on a (small-|z|) array, and a bound on
+    its rounding error.
 
-    The term count runs past the peak until ``|z|^k / Gamma(alpha k +
-    beta)`` is below 1e-18.  For small alpha the Gamma factor grows so
-    slowly that this takes many times the peak index.  The rounding bound
-    is ``8 eps`` times the sum of the terms' moduli: against the
-    extended-precision sum the error stays below ``3.4 eps`` times it for
-    alpha from 0.01 to 0.99 up to the tier edge.
+    The term count runs past the peak until ``|z|^k / Gamma(alpha k + 1)``
+    is below 1e-18.  For small alpha the Gamma factor grows so slowly that
+    this takes many times the peak index.  The rounding bound is ``8 eps``
+    times the sum of the terms' moduli: against the extended-precision sum
+    the error stays below ``3.4 eps`` times it for alpha from 0.01 to 0.99
+    up to the tier edge.
     """
     z = np.asarray(z, dtype=complex)
     zmax = float(np.max(np.abs(z))) if z.size else 0.0
@@ -352,11 +359,11 @@ def _ml_taylor_f64(z: np.ndarray, alpha: float,
     n_terms = int(2.5 * k_peak) + 40
     if zmax > 0:
         log_z = math.log(zmax)
-        while (n_terms * log_z - float(gammaln(alpha * n_terms + beta))
+        while (n_terms * log_z - float(gammaln(alpha * n_terms + 1.0))
                > _ML_LOG_TERM_FLOOR):
             n_terms *= 2
     ks = np.arange(n_terms, dtype=float)
-    rg = _rgamma_vec(alpha * ks + beta)
+    rg = rgamma(alpha * ks + 1.0)
     s = np.zeros_like(z)
     abs_sum = np.zeros(z.shape)
     power = np.ones_like(z)
@@ -371,20 +378,18 @@ def _ml_taylor_f64(z: np.ndarray, alpha: float,
     return s, 8.0 * np.finfo(float).eps * abs_sum
 
 
-def _ml_taylor_mp(z: complex, alpha: float, beta: float,
-                  digits_lost: float) -> complex:
+def _ml_taylor_mp(z: complex, alpha: float, digits_lost: float) -> complex:
     k_peak = abs(z) ** (1.0 / alpha) / alpha if z != 0 else 0.0
     with mp.workdps(int(25 + 1.2 * digits_lost)):
         zm = mp.mpc(z)
         # Form the rgamma argument in working precision (see _wright_mp).
         am = mp.mpf(alpha)
-        bm = mp.mpf(beta)
         s = mp.mpc(0)
         power = mp.mpc(1)
         k = 0
         quiet = 0
         while True:
-            term = power * mp.rgamma(am * k + bm)
+            term = power * mp.rgamma(am * k + 1)
             s += term
             power *= zm
             k += 1
@@ -400,9 +405,14 @@ def _ml_taylor_mp(z: complex, alpha: float, beta: float,
         return complex(s)
 
 
-def _ml_asymptotic(z: complex, alpha: float, beta: float):
-    """Algebraic asymptotic branch, plus the exponential term inside the
-    sector |arg z| < alpha*pi.  Returns (value, error_estimate, degraded)."""
+def _ml_asymptotic(z: complex, alpha: float) -> tuple[complex, float]:
+    """Algebraic asymptotic branch, plus the exponential term
+    ``e^w / alpha`` (``w = z^{1/alpha}``) inside the sector
+    ``|arg z| < alpha*pi``.  Returns ``(value, error_estimate)``.
+
+    Within 0.2 rad of ``arg z = +-alpha*pi`` the expansion switches the
+    exponential term on or off, so there the estimate is widened by that
+    term's modulus."""
     az = abs(z)
     # from the logarithm: for small alpha the power overflows a float
     root = math.exp(min(math.log(az) / alpha, 709.0))
@@ -412,64 +422,52 @@ def _ml_asymptotic(z: complex, alpha: float, beta: float):
     power = inv
     last = 0.0
     for k in range(1, n_terms + 1):
-        term = power * reciprocal_gamma(beta - alpha * k)
+        term = power * float(rgamma(1.0 - alpha * k))
         s -= term
         last = abs(term)
         power *= inv
     err = last + az ** -(n_terms + 1)
 
     theta = abs(cmath.phase(z))
-    degraded = abs(theta - alpha * math.pi) < 0.2
+    near_stokes = abs(theta - alpha * math.pi) < 0.2
     if theta < alpha * math.pi:
         w = root * cmath.exp(1j * cmath.phase(z) / alpha)
         if w.real < 700.0:
-            expterm = cmath.exp(w) * w ** (1.0 - beta) / alpha
+            expterm = cmath.exp(w) / alpha
             s += expterm
-            if degraded:
+            if near_stokes:
                 err += abs(expterm)
-    elif degraded:
+    elif near_stokes:
         # Omitted exponential is e^{-|z|^{1/alpha}}-small here; widen anyway.
         err += math.exp(max(-700.0, root * math.cos(theta / alpha))) / alpha
-    return s, err, degraded
+    return s, err
 
 
-def mittag_leffler(z: complex, params: MLParams):
-    """E_{alpha,beta}(z) for alpha in (0,1] and any finite complex z, as
-    ``(value, error_estimate, degraded)``.
+def mittag_leffler_grid(z: np.ndarray,
+                        params: MLParams) -> tuple[np.ndarray, np.ndarray]:
+    """E_alpha(z) = sum_k z^k / Gamma(alpha k + 1) over an array of complex
+    arguments, as ``(values, error_estimates)``.
 
-    The flag marks arguments near the directions arg z = +-alpha*pi where
-    the asymptotic branch switches its exponential term on or off; the
-    value is still returned, with the estimate widened by the ambiguous
-    term's modulus.
-    """
-    vals, errs, degs = mittag_leffler_grid(np.array([complex(z)]), params)
-    return complex(vals[0]), float(errs[0]), bool(degs[0])
-
-
-def mittag_leffler_grid(z: np.ndarray, params: MLParams):
-    """Vectorized Mittag-Leffler over an array of complex arguments.
-
-    Returns (values, error_estimates, degraded_flags).  Branches:
-    exp for alpha=1, the Faddeeva closed form for alpha=1/2 with beta=1,
+    Branches: exp for alpha = 1, the Faddeeva closed form for alpha = 1/2,
     float64 Taylor while cancellation loses < 3 digits, extended-precision
     Taylor in the intermediate band, and the algebraic-plus-exponential
-    asymptotic expansion for large |z|.
+    asymptotic expansion for large |z|, whose estimate is widened near the
+    directions ``arg z = +-alpha*pi``.
     """
-    alpha, beta = params.alpha, params.beta
+    alpha = params.alpha
     z = np.atleast_1d(np.asarray(z, dtype=complex))
     values = np.empty_like(z)
     errors = np.zeros(z.shape, dtype=float)
-    degraded = np.zeros(z.shape, dtype=bool)
 
-    if alpha == 1.0 and beta == 1.0:
+    if alpha == 1.0:
         values[:] = np.exp(z)
         errors[:] = np.abs(values) * 1e-15
-        return values, errors, degraded
-    if alpha == 0.5 and beta == 1.0:
-        # E_{1/2,1}(z) = e^{z^2} erfc(-z), the scaled Faddeeva function.
+        return values, errors
+    if alpha == 0.5:
+        # E_{1/2}(z) = e^{z^2} erfc(-z), the scaled Faddeeva function.
         values[:] = wofz(-1j * z)
         errors[:] = np.abs(values) * 1e-13
-        return values, errors, degraded
+        return values, errors
 
     az = np.abs(z)
     with np.errstate(over="ignore"):  # inf sends the point to asymptotics
@@ -479,22 +477,20 @@ def mittag_leffler_grid(z: np.ndarray, params: MLParams):
 
     idx_taylor = np.nonzero(taylor_ok)[0]
     if idx_taylor.size:
-        values[idx_taylor], rounding = _ml_taylor_f64(z[idx_taylor], alpha,
-                                                      beta)
+        values[idx_taylor], rounding = _ml_taylor_f64(z[idx_taylor], alpha)
         errors[idx_taylor] = (np.abs(values[idx_taylor]) * 1e-12 + 1e-15
                               + rounding)
 
     idx_asy = np.nonzero(asy_ok & ~taylor_ok)[0]
     for i in idx_asy:
-        values[i], errors[i], degraded[i] = _ml_asymptotic(
-            complex(z[i]), alpha, beta)
+        values[i], errors[i] = _ml_asymptotic(complex(z[i]), alpha)
 
     idx_mid = np.nonzero(~taylor_ok & ~asy_ok)[0]
     for i in idx_mid:
         lost = 0.434 * float(rootpow[i])
-        values[i] = _ml_taylor_mp(complex(z[i]), alpha, beta, lost)
+        values[i] = _ml_taylor_mp(complex(z[i]), alpha, lost)
         errors[i] = abs(values[i]) * 1e-12 + 1e-18
-    return values, errors, degraded
+    return values, errors
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import rgamma
+from scipy.special import gammaln, rgamma
 
 from ._errors import DomainError
-from .specfun import StableOneSided, stable_one_sided_density_grid
+from .specfun import StableOneSided, closed_form, stable_one_sided_density_grid
 
 # bench/tracer.py probes these by name in this module; nothing here calls them
 from .specfun import stable_spec_neg_density_grid, wright_w_extended, wright_w_grid  # noqa: E501,F401
 
 __all__ = [
     "TimeChangeLaw",
-    "time_density",
     "time_density_grid",
     "time_moment",
 ]
@@ -45,13 +44,8 @@ class TimeChangeLaw:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha <= 1.0):
             raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not self.t > 0.0:
-            raise DomainError(f"t must be positive, got {self.t}")
-
-
-def time_density(law: TimeChangeLaw, u: float) -> float:
-    """Density of the random time at ``u``; zero for ``u < 0``."""
-    return float(time_density_grid(law, np.array([float(u)]))[0])
+        if not 0.0 < self.t < math.inf:
+            raise DomainError(f"t must be positive and finite, got {self.t}")
 
 
 def time_density_grid(law: TimeChangeLaw, u) -> np.ndarray:
@@ -80,6 +74,8 @@ def time_density_grid(law: TimeChangeLaw, u) -> np.ndarray:
 
     scale = law.t ** -alpha
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all(np.isfinite(u)):
+        raise DomainError("u must be finite")
     return np.array([scale * profile(float(v) * scale) for v in u])
 
 
@@ -88,9 +84,14 @@ def time_moment(alpha: float, delta: float, t: float) -> float:
     (equals ``t^delta`` at ``alpha = 1``)."""
     if not (0.0 < alpha <= 1.0):
         raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not delta >= 0.0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
-    if not t > 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    return (math.gamma(1.0 + delta) * t ** (alpha * delta)
-            / math.gamma(1.0 + alpha * delta))
+    if not 0.0 <= delta < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    return closed_form(
+        1.0,
+        float(gammaln(1.0 + delta) - gammaln(1.0 + alpha * delta))
+        + alpha * delta * math.log(t),
+        lambda: (math.gamma(1.0 + delta) * t ** (alpha * delta)
+                 / math.gamma(1.0 + alpha * delta)),
+        f"moment {delta} of the random time")

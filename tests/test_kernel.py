@@ -19,8 +19,6 @@ from scipy.special import airy
 from fracheat._errors import DomainError
 from fracheat.kernel import (
     EquationSpec,
-    SignedDensitySample,
-    kernel_density,
     kernel_density_grid,
     kernel_laplace,
     kernel_moment,
@@ -34,6 +32,12 @@ from fracheat.quadrature import integrate_adaptive, kernel_contour_values
 def gaussian_kernel(x, t):
     """Order-2 kernel: N(0, 2t) density."""
     return math.exp(-x * x / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
+
+
+def kernel_at(spec, x, t, tol=1e-9):
+    """The grid form of the kernel at one point."""
+    vals, _, _ = kernel_density_grid(spec, [x], t, tol)
+    return float(vals[0])
 
 
 def airy_kernel(x, t):
@@ -98,42 +102,33 @@ class TestRootSystem:
         assert_allclose(np.abs(rs.roots), 1.0, atol=1e-12)
         assert_allclose(rs.roots ** n, spec.k, atol=1e-12)
         assert len(rs.incoming) + len(rs.outgoing) == n
-        # Interface system rows: sum z_k theta_k^j vanishes for
-        # j = 0..n-2 and equals -k for j = n-1.
+        # Rows of the interface Vandermonde system, whose weights are
+        # -theta_k / n: sum theta_k^(j+1) vanishes for j = 0..n-2 and
+        # equals n k for j = n-1.
+        weights = -rs.roots / n
         for j in range(n - 1):
-            assert abs(np.sum(rs.z * rs.roots ** j)) < 1e-12
-        assert abs(np.sum(rs.z * rs.roots ** (n - 1)) + spec.k) < 1e-12
-
-
-class TestSignedDensitySample:
-    def test_rejects_negative_error(self):
-        with pytest.raises(DomainError):
-            SignedDensitySample(x=0.0, value=1.0, error_estimate=-1e-3)
+            assert abs(np.sum(weights * rs.roots ** j)) < 1e-12
+        assert abs(np.sum(weights * rs.roots ** (n - 1)) + spec.k) < 1e-12
 
 
 class TestKernelDensity:
     @pytest.mark.parametrize("x,t", [(0.0, 1.0), (0.5, 1.0), (2.0, 0.5),
                                      (-3.0, 2.0), (6.0, 1.5)])
     def test_order_two_gaussian(self, x, t):
-        sample = kernel_density(make_equation_spec(2), x, t)
-        assert_allclose(sample.value, gaussian_kernel(x, t), rtol=1e-8,
+        vals, err, _ = kernel_density_grid(make_equation_spec(2), [x], t)
+        assert_allclose(vals[0], gaussian_kernel(x, t), rtol=1e-8,
                         atol=1e-12)
-        assert sample.value >= 0.0
-        assert sample.error_estimate >= 0.0
-
-    def test_order_two_never_negative_in_far_tail(self):
-        spec = make_equation_spec(2)
-        for x in (8.0, 12.0, 20.0):
-            assert kernel_density(spec, x, 0.5).value >= 0.0
+        assert vals[0] >= 0.0
+        assert err >= 0.0
 
     @pytest.mark.parametrize("x", [-2.2, -1.3, 0.0, 0.7, 1.0, 3.1])
     def test_order_three_airy(self, x):
         t = 1.0 / 3.0
-        plus = kernel_density(make_equation_spec(3, 1), x, t)
-        assert_allclose(plus.value, airy_kernel(x, t), atol=1e-9)
+        plus = kernel_at(make_equation_spec(3, 1), x, t)
+        assert_allclose(plus, airy_kernel(x, t), atol=1e-9)
         # The two admissible sign choices give mirror-image kernels.
-        minus = kernel_density(make_equation_spec(3, -1), -x, t)
-        assert_allclose(minus.value, plus.value, atol=1e-9)
+        minus = kernel_at(make_equation_spec(3, -1), -x, t)
+        assert_allclose(minus, plus, atol=1e-9)
 
     def test_order_four_frozen(self):
         spec = make_equation_spec(4)
@@ -142,7 +137,7 @@ class TestKernelDensity:
                   (2.5, 0.5): 0.04059788834746792,
                   (4.0, 1.0): -0.02258719805410781}
         for (x, t), ref in frozen.items():
-            assert_allclose(kernel_density(spec, x, t).value, ref,
+            assert_allclose(kernel_at(spec, x, t), ref,
                             atol=1e-9)
 
     def test_order_five_frozen(self):
@@ -151,14 +146,14 @@ class TestKernelDensity:
                   (1.5, 1.0): 0.1274996408081853,
                   (-1.5, 1.0): 0.3040158738216629}
         for (x, t), ref in frozen.items():
-            assert_allclose(kernel_density(spec, x, t).value, ref,
+            assert_allclose(kernel_at(spec, x, t), ref,
                             atol=1e-9)
 
     @pytest.mark.parametrize("x", [0.5, 1.0, 2.0])
     def test_order_four_symmetry(self, x):
         spec = make_equation_spec(4)
-        left = kernel_density(spec, -x, 1.0).value
-        right = kernel_density(spec, x, 1.0).value
+        left = kernel_at(spec, -x, 1.0)
+        right = kernel_at(spec, x, 1.0)
         assert_allclose(left, right, atol=1e-10)
 
     def test_sign_changes_appear_above_order_two(self):
@@ -174,9 +169,9 @@ class TestKernelDensity:
         spec = make_equation_spec(n, sign)
         for x in (-1.3, 0.0, 0.8, 2.1):
             for t in (0.5, 2.0):
-                direct = kernel_density(spec, x, t, 1e-11).value
-                rescaled = t ** (-1.0 / n) * kernel_density(
-                    spec, x * t ** (-1.0 / n), 1.0, 1e-11).value
+                direct = kernel_at(spec, x, t, 1e-11)
+                rescaled = t ** (-1.0 / n) * kernel_at(
+                    spec, x * t ** (-1.0 / n), 1.0, 1e-11)
                 assert_allclose(direct, rescaled, atol=1e-9)
 
     def test_grid_matches_pointwise(self):
@@ -185,16 +180,15 @@ class TestKernelDensity:
         vals, err, _ = kernel_density_grid(spec, xs, 0.7)
         assert err >= 0.0
         for i in (0, 4, 9, 12):
-            assert_allclose(vals[i],
-                            kernel_density(spec, float(xs[i]), 0.7).value,
+            assert_allclose(vals[i], kernel_at(spec, float(xs[i]), 0.7),
                             atol=1e-9)
 
     def test_rejects_nonpositive_time(self):
         spec = make_equation_spec(2)
         with pytest.raises(DomainError):
-            kernel_density(spec, 0.0, 0.0)
+            kernel_density_grid(spec, [0.0], 0.0)
         with pytest.raises(DomainError):
-            kernel_density(spec, 0.0, -1.0)
+            kernel_density_grid(spec, [0.0], -1.0)
 
 
 class TestKernelMoment:

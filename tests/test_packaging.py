@@ -55,6 +55,21 @@ def test_every_exported_name_resolves():
                 f"{module.__name__}.__all__ names {name}, which it lacks")
 
 
+def test_no_scalar_twin():
+    """One array function per quantity: no public callable ``f`` lives
+    beside an ``f_grid`` in any fracheat module."""
+    package = importlib.import_module("fracheat")
+    modules = [package] + [
+        importlib.import_module(f"fracheat.{info.name}")
+        for info in pkgutil.iter_modules(package.__path__)]
+    twins = [f"{module.__name__}.{name}"
+             for module in modules for name in dir(module)
+             if not name.startswith("_")
+             and callable(getattr(module, name))
+             and hasattr(module, name + "_grid")]
+    assert twins == []
+
+
 def test_oracles_import_and_are_not_collected():
     """The tests' reference implementations import from any test module,
     and hold no file that pytest would collect as tests."""

@@ -31,19 +31,25 @@ from fracheat import (
     EquationSpec,
     FracheatError,
     SolutionRequest,
+    TimeChangeLaw,
     caputo_residual,
     kernel_density_grid,
+    kernel_laplace,
+    kernel_moment,
     laplace_relation_check,
     solution_char_fn,
     solution_moment,
     solve,
+    time_density_grid,
+    time_moment,
 )
 from fracheat import solver, specfun
 from fracheat._errors import StencilUnderflowError
+from fracheat.kernel import kernel_moment_numeric
 from fracheat.specfun import (
     MLParams,
     WrightParams,
-    mittag_leffler,
+    mittag_leffler_grid,
     wright_guard,
     wright_w_grid,
 )
@@ -313,7 +319,6 @@ def test_route_dispatch():
     pinned = solve(SolutionRequest(EquationSpec(2), 0.6, 1.0, xs,
                                    route="subordination"))
     assert pinned.route_used == "subordination"
-    assert even.degraded is False
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -395,7 +400,7 @@ def test_char_fn_degenerate_order(n, beta):
 def test_char_fn_even_is_real_mittag_leffler():
     got = solution_char_fn(EquationSpec(2), 0.6, 1.5, 1.0)
     assert abs(got.imag) < 1e-15
-    want = mittag_leffler(-(1.5 ** 2), MLParams(alpha=0.6))[0]
+    want = mittag_leffler_grid([-(1.5 ** 2)], MLParams(alpha=0.6))[0][0]
     assert_allclose(got.real, want.real, rtol=1e-13, atol=0.0)
 
 
@@ -424,6 +429,87 @@ def test_moment_validation():
         solution_moment(EquationSpec(2), 1.3, 2, 1.0)
     with pytest.raises(DomainError):
         solution_moment(EquationSpec(2), 0.5, 2, 0.0)
+
+
+#: moments whose factorial factor overflows a float while the moment does
+#: not, with their values from mpmath
+MOMENTS_PAST_FACTOR_OVERFLOW = {
+    "time": (lambda: time_moment(0.5, 200, 1.0),
+             lambda: mpmath.gamma(201) / mpmath.gamma(101)),
+    "kernel": (lambda: kernel_moment(EquationSpec(2), 180, 1.0),
+               lambda: mpmath.factorial(180) / mpmath.factorial(90)),
+    "solution": (lambda: solution_moment(EquationSpec(2), 0.5, 180, 1.0),
+                 lambda: mpmath.factorial(180) / mpmath.gamma(46)),
+    "solution_signed": (
+        lambda: solution_moment(EquationSpec(3), 0.5, 177, 1.7),
+        lambda: (-mpmath.factorial(177) * mpmath.mpf(1.7) ** 29.5
+                 / mpmath.gamma(30.5))),
+}
+
+
+@pytest.mark.parametrize("case", list(MOMENTS_PAST_FACTOR_OVERFLOW))
+def test_moments_past_factor_overflow(case):
+    """r! overflows a float from r = 171; the moment need not.  These
+    raised an untyped OverflowError."""
+    got, want = MOMENTS_PAST_FACTOR_OVERFLOW[case]
+    with mpmath.workdps(40):
+        ref = want()
+    assert abs(got() - ref) <= 1e-12 * abs(ref)
+
+
+@pytest.mark.parametrize("evaluate, ref", [
+    (lambda: solution_moment(EquationSpec(2), 0.5, 200, 1.0),
+     lambda: mpmath.factorial(200) / mpmath.gamma(51)),
+    (lambda: kernel_moment(EquationSpec(2), 400, 1.0),
+     lambda: mpmath.factorial(400) / mpmath.factorial(200)),
+], ids=["solution", "kernel"])
+def test_moment_beyond_float_range_refuses(evaluate, ref):
+    with mpmath.workdps(40):
+        assert ref() > np.finfo(float).max
+    with pytest.raises(DomainError):
+        evaluate()
+
+
+_T_GRID = np.linspace(0.0, 1.0, 65)
+
+#: one non-finite argument per public function that takes a number
+NON_FINITE = {
+    "time_density_grid_u": lambda: time_density_grid(
+        TimeChangeLaw(0.5, 1.0), [math.nan]),
+    "time_law_t": lambda: TimeChangeLaw(0.5, math.inf),
+    "time_moment_delta": lambda: time_moment(0.5, math.inf, 1.0),
+    "time_moment_t": lambda: time_moment(0.5, 1.0, math.inf),
+    "char_fn_t": lambda: solution_char_fn(EquationSpec(3), 0.5, 1.0,
+                                          math.inf),
+    "char_fn_beta": lambda: solution_char_fn(EquationSpec(3), 0.5, math.nan,
+                                             1.0),
+    "kernel_x": lambda: kernel_density_grid(EquationSpec(3), [math.nan], 1.0),
+    "kernel_t": lambda: kernel_density_grid(EquationSpec(3), [0.0], math.inf),
+    "kernel_moment_t": lambda: kernel_moment(EquationSpec(2), 2, math.inf),
+    "kernel_moment_numeric_tol": lambda: kernel_moment_numeric(
+        EquationSpec(2), 2, 1.0, math.nan),
+    "solution_moment_t": lambda: solution_moment(EquationSpec(2), 0.5, 2,
+                                                 math.inf),
+    "kernel_laplace_x": lambda: kernel_laplace(EquationSpec(3), math.nan, 1.0),
+    "kernel_laplace_s": lambda: kernel_laplace(EquationSpec(3), 1.0, math.inf),
+    "laplace_check_x": lambda: laplace_relation_check(
+        EquationSpec(3), 0.5, math.nan, 1.0),
+    "caputo_x": lambda: caputo_residual(EquationSpec(2), 0.5, math.nan,
+                                        _T_GRID, 0.1),
+    "caputo_h_x": lambda: caputo_residual(EquationSpec(2), 0.5, 3.0,
+                                          _T_GRID, math.inf),
+    "caputo_t_grid": lambda: caputo_residual(
+        EquationSpec(2), 0.5, 3.0, np.append(_T_GRID[:-1], math.nan), 0.1),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_argument_raises_domain_error(case):
+    """Refused up front, as SolutionRequest refuses a non-finite grid;
+    these gave NaN, a silent 0, a misleading StencilUnderflowError or an
+    untyped ValueError."""
+    with pytest.raises(DomainError):
+        NON_FINITE[case]()
 
 
 # ---------------------------------------------------------------------------
@@ -464,6 +550,15 @@ def test_signed_grid_invariants():
         assert abs(got / want - 1.0) < 1e-3
     # r = 2 is not a multiple of n: the signed moment must vanish
     assert abs(simpson(xs ** 2 * u, x=xs)) < 1e-4
+
+
+def test_order_two_never_negative_in_far_tail():
+    """At alpha = 1 the solution is the Gaussian kernel itself, and far out
+    its contour values are noise around zero: solve clamps those for
+    n = 2, a probability density."""
+    req = SolutionRequest(EquationSpec(2), 1.0, 0.5, (8.0, 12.0, 20.0),
+                          route="subordination")
+    assert np.all(solve(req).values >= 0.0)
 
 
 def test_gaussian_family_nonnegative():

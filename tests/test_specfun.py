@@ -23,9 +23,7 @@ from fracheat.specfun import (
     StableOneSided,
     StableSpectrallyNegative,
     WrightParams,
-    mittag_leffler,
     mittag_leffler_grid,
-    reciprocal_gamma,
     stable_one_sided_density_grid,
     stable_spec_neg_density_grid,
     wright_guard,
@@ -41,19 +39,30 @@ def _one(grid_fn, x: float, params) -> float:
     return float(grid_fn(np.array([float(x)]), params)[0])
 
 
+def _ml_one(z: complex, alpha: float) -> complex:
+    """The grid Mittag-Leffler function at one point."""
+    values, _ = mittag_leffler_grid(np.array([complex(z)]),
+                                    MLParams(alpha=alpha))
+    return complex(values[0])
+
+
 class TestReciprocalGamma:
+    """The series take every Gamma factor as the reciprocal ``rgamma`` that
+    ``specfun`` imports, and rely on it being exactly 0 at the poles."""
+
     def test_positive_integers(self):
         ks = np.arange(1, 8, dtype=float)
         expected = 1.0 / np.array([math.gamma(k) for k in ks])
-        assert_allclose(reciprocal_gamma(ks), expected, rtol=1e-14)
+        assert_allclose(specfun.rgamma(ks), expected, rtol=1e-14)
 
     def test_vanishes_at_poles(self):
-        assert reciprocal_gamma(np.array([0.0, -1.0, -2.0, -5.0])).tolist() == [
+        assert specfun.rgamma(np.array([0.0, -1.0, -2.0, -5.0])).tolist() == [
             0.0, 0.0, 0.0, 0.0]
 
     def test_negative_noninteger(self):
         # 1/Gamma(-0.5) = -1/(2 sqrt(pi))
-        assert reciprocal_gamma(-0.5) == pytest.approx(-0.5 / SQRT_PI, rel=1e-14)
+        assert specfun.rgamma(-0.5) == pytest.approx(-0.5 / SQRT_PI,
+                                                     rel=1e-14)
 
 
 class TestWrightParams:
@@ -157,18 +166,15 @@ class TestMittagLefflerParams:
 
 class TestMittagLeffler:
     def test_exponential_branch(self):
-        p = MLParams(alpha=1.0)
         for z in [0.3, -2.0, 1.5j, -0.2 + 0.7j]:
-            assert mittag_leffler(z, p)[0] == pytest.approx(
-                complex(np.exp(z)), rel=1e-13)
+            assert _ml_one(z, 1.0) == pytest.approx(complex(np.exp(z)),
+                                                    rel=1e-13)
 
     @pytest.mark.parametrize("x", [-4.0, -1.0, 2.0])
     def test_half_order_closed_form(self, x):
         # E_{1/2}(x) = exp(x^2) erfc(-x)
-        p = MLParams(alpha=0.5)
         expected = math.exp(x * x) * math.erfc(-x)
-        assert mittag_leffler(x, p)[0].real == pytest.approx(expected,
-                                                             rel=1e-12)
+        assert _ml_one(x, 0.5).real == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize(
         "alpha, z, expected",
@@ -183,7 +189,7 @@ class TestMittagLeffler:
         ],
     )
     def test_negative_axis_references(self, alpha, z, expected):
-        got = mittag_leffler(z, MLParams(alpha=alpha))[0]
+        got = _ml_one(z, alpha)
         assert got.real == pytest.approx(expected, rel=2e-9)
         assert abs(got.imag) <= 1e-12 * abs(got.real)
 
@@ -195,27 +201,33 @@ class TestMittagLeffler:
         ],
     )
     def test_imaginary_axis_references(self, alpha, z, expected):
-        got = mittag_leffler(z, MLParams(alpha=alpha))[0]
+        got = _ml_one(z, alpha)
         assert got == pytest.approx(expected, rel=5e-9)
 
-    def test_grid_matches_scalar_and_flags(self):
+    def test_grid_matches_pointwise(self):
         p = MLParams(alpha=0.8)
         zs = np.array([-0.5, -8.0, -40.0, 3j, -2 + 1j], dtype=complex)
-        grid_vals, grid_errs, grid_deg = mittag_leffler_grid(zs, p)
+        grid_vals, grid_errs = mittag_leffler_grid(zs, p)
         for i, z in enumerate(zs):
-            v, e, d = mittag_leffler(complex(z), p)
+            v = _ml_one(z, 0.8)
             assert grid_vals[i] == pytest.approx(v, rel=1e-12, abs=1e-300)
-            assert grid_deg[i] == d
         assert np.all(grid_errs >= 0.0)
 
-    def test_stokes_flag_near_sector_boundary(self):
+    def test_error_bar_widens_near_sector_boundary(self):
+        """Near arg z = alpha pi the asymptotic expansion switches its
+        exponential term e^w / alpha (w = z^(1/alpha)) on or off, so the
+        bar there is widened by that term.  The rest of the bar depends
+        on |z| only, so against a point of the same modulus outside the
+        0.2 rad band the widening is exactly the term's modulus."""
         alpha = 0.7
         p = MLParams(alpha=alpha)
-        near = 30.0 * np.exp(1j * (alpha * math.pi - 0.05))
-        far = 30.0 * np.exp(1j * (alpha * math.pi - 1.0))
-        _, _, deg_near = mittag_leffler(complex(near), p)
-        _, _, deg_far = mittag_leffler(complex(far), p)
-        assert deg_near and not deg_far
+        near = 12.0 * np.exp(1j * (alpha * math.pi - 0.05))
+        away = 12.0 * np.exp(1j * (alpha * math.pi - 0.5))
+        _, errs = mittag_leffler_grid(np.array([near, away]), p)
+        w = abs(near) ** (1.0 / alpha) * np.exp(1j * np.angle(near) / alpha)
+        switched = abs(np.exp(w)) / alpha
+        assert errs[0] >= switched
+        assert errs[0] - errs[1] == pytest.approx(switched, rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8])
     def test_completely_monotone_on_negative_axis(self, alpha):
@@ -236,9 +248,9 @@ class TestMittagLeffler:
         radii = np.linspace(0.05, 1.0, 8) * specfun._ML_F64_EXPONENT ** alpha
         for ray in (-1.0, 1j, -1j):
             zs = ray * radii
-            vals, errs, _ = mittag_leffler_grid(zs, p)
+            vals, errs = mittag_leffler_grid(zs, p)
             for z, v, e in zip(zs, vals, errs):
-                ref = specfun._ml_taylor_mp(complex(z), alpha, 1.0,
+                ref = specfun._ml_taylor_mp(complex(z), alpha,
                                             0.434 * abs(z) ** (1.0 / alpha))
                 assert abs(v - ref) <= e
 
@@ -421,7 +433,7 @@ class TestExtendedPrecisionCap:
         lambda: _one(wright_w_grid, -5.5, WrightParams(eta=-0.5, beta=1.0)),
         lambda: _one(stable_spec_neg_density_grid, 3.5,
                      StableSpectrallyNegative(alpha=0.7, t=1.0)),
-        lambda: mittag_leffler(-5.0, MLParams(alpha=0.7)),
+        lambda: _ml_one(-5.0, 0.7),
     ], ids=["wright", "spec_neg", "mittag_leffler"])
     def test_cap_raises_instead_of_partial_sum(self, monkeypatch, evaluate):
         evaluate()  # converges under the real cap

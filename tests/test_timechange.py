@@ -36,7 +36,6 @@ from fracheat.specfun import (
 )
 from fracheat.timechange import (
     TimeChangeLaw,
-    time_density,
     time_density_grid,
     time_moment,
 )
@@ -430,7 +429,7 @@ class TestDegenerateRoute:
     def test_density_refuses_point_mass(self):
         law = TimeChangeLaw(alpha=1.0, t=1.0)
         with pytest.raises(DomainError):
-            time_density(law, 1.0)
+            time_density_grid(law, [1.0])
 
     def test_moment_is_plain_power(self):
         for delta in [0.5, 1.0, 2.0]:
