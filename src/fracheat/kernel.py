@@ -70,7 +70,13 @@ class EquationSpec:
 
 def make_equation_spec(n: int, odd_sign: int = 1) -> EquationSpec:
     """Validated constructor for :class:`EquationSpec`."""
-    return EquationSpec(n=int(n), odd_sign=int(odd_sign))
+    try:
+        n_int, sign_int = int(n), int(odd_sign)
+    except (ValueError, OverflowError):
+        raise DomainError(
+            f"spatial order and sign must be finite integers, got n={n!r}, "
+            f"odd_sign={odd_sign!r}") from None
+    return EquationSpec(n=n_int, odd_sign=sign_int)
 
 
 @dataclass(frozen=True)
@@ -253,7 +259,11 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     _require_time(t)
     _require_tol(tol)
     n = spec.n
-    mag = t ** (r / n) * math.gamma(r + 1.0) / math.gamma(r / n + 1.0)
+    mag = closed_form(
+        1.0,
+        float(gammaln(r + 1.0) - gammaln(r / n + 1.0)) + r / n * math.log(t),
+        lambda: t ** (r / n) * math.gamma(r + 1.0) / math.gamma(r / n + 1.0),
+        f"the scale of moment {r} of the kernel")
     abs_tol = tol * max(1.0, mag)
     inner_tol = 1e-10
 

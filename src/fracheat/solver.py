@@ -583,8 +583,8 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
     and the largest Mittag-Leffler error estimate over the nodes.
 
     A fixed node set (rather than adaptive bisection) keeps the number of
-    Mittag-Leffler evaluations predictable: the arbitrary-precision
-    mid-band of that function is the expensive part of this route.  The
+    Mittag-Leffler evaluations predictable, and hands all of them to one
+    vectorised call: every node's argument lies on the ray of ``A``.  The
     phase model charges ``|x| b`` everywhere, plus the phase of the
     exponential component of the Mittag-Leffler expansion where that
     component exists (odd ``n``, ``alpha > 1/2``) and is still above its

@@ -66,6 +66,11 @@ class TestEquationSpec:
         with pytest.raises(DomainError):
             EquationSpec(n=3, odd_sign=2)
 
+    @pytest.mark.parametrize("n", [math.nan, math.inf])
+    def test_rejects_non_finite_order(self, n):
+        with pytest.raises(DomainError):
+            make_equation_spec(n)
+
     def test_spec_is_immutable(self):
         spec = make_equation_spec(4)
         with pytest.raises(AttributeError):
@@ -268,6 +273,17 @@ class TestKernelMomentNumeric:
             kernel_moment_numeric(spec, -2, 1.0)
         with pytest.raises(DomainError):
             kernel_moment_numeric(spec, 0, -0.5)
+
+    def test_orders_past_the_factorial_range(self):
+        """From r = 171 the scale ``r! / Gamma(r/n + 1)`` of the tolerance
+        has a factor beyond the float range while the scale itself is
+        inside it; only a scale beyond the range refuses."""
+        spec = make_equation_spec(2)
+        res = kernel_moment_numeric(spec, 172, 1.0)
+        assert math.isfinite(res.value)
+        assert math.isfinite(res.error_estimate)
+        with pytest.raises(DomainError, match="beyond the float range"):
+            kernel_moment_numeric(spec, 400, 1.0)
 
 
 class TestKernelLaplace:

@@ -131,13 +131,17 @@ def test_wright_closed_form_both_routes(alpha, t):
                         rtol=0.0, atol=1e-8)
 
 
-@pytest.mark.parametrize("n, alpha", [(3, 0.7), (4, 0.8)])
+@pytest.mark.parametrize("n, alpha", [(3, 0.7), (4, 0.8), (3, 0.8),
+                                      (3, 0.9), (5, 0.8), (5, 0.9)])
 def test_routes_cross_validate(n, alpha):
+    """Odd n at alpha >= 0.7, with both signs, puts the Mittag-Leffler
+    pole at angle pi / (2 alpha) near the Fourier head's contours."""
     xs = np.linspace(-4.0, 4.0, 9)
-    req = SolutionRequest(EquationSpec(n), alpha, 1.0, tuple(xs))
-    sub = solve_by("subordination", req).grid_values()
-    fou = solve_by("fourier_ml", req).grid_values()
-    assert_allclose(sub, fou, rtol=0.0, atol=1e-7)
+    for sign in (1, -1) if n % 2 else (1,):
+        req = SolutionRequest(EquationSpec(n, sign), alpha, 1.0, tuple(xs))
+        sub = solve_by("subordination", req).grid_values()
+        fou = solve_by("fourier_ml", req).grid_values()
+        assert_allclose(sub, fou, rtol=0.0, atol=1e-7)
 
 
 def test_error_estimates_dominate_truth():
@@ -212,6 +216,27 @@ def test_subordination_stays_in_float64(monkeypatch):
                           route="subordination")
     field = solve(req)
     assert np.all(np.isfinite(field.grid_values()))
+
+
+def test_fourier_stays_in_float64(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("extended-precision series called")
+
+    for name in ("_wright_mp", "_spec_neg_mp", "_ml_taylor_mp"):
+        monkeypatch.setattr(specfun, name, forbidden)
+    xs = (-3.1, -0.4, 0.0, 0.9, 2.5)
+    reqs = [SolutionRequest(EquationSpec(n, sign), alpha, 1.3, xs,
+                            route="fourier_ml")
+            for alpha in (0.38, 0.65, 0.9) for n in range(2, 8)
+            for sign in ((1, -1) if n % 2 else (1,))]
+    # the benchmark's far-field request: n = 2 out to |x| ~ 43
+    reqs.append(SolutionRequest(EquationSpec(2), 0.6, 1.0,
+                                (-43.2, -3.0, -0.7, 0.0, 0.7, 3.0, 43.2),
+                                route="fourier_ml"))
+    for req in reqs:
+        field = solve(req)
+        assert np.all(np.isfinite(field.values))
+        assert np.all(np.isfinite(field.errors))
 
 
 # ---------------------------------------------------------------------------

@@ -181,7 +181,7 @@ class TestMittagLeffler:
         [
             # Taylor tier, cross-checked against the spectral integral
             (0.4, -2.0, 0.273535299960679535),
-            # extended-precision tier
+            # contour tier
             (0.7, -9.0, 0.0405311972673506832),
             # asymptotic tier
             (0.9, -30.0, 0.00371370769845985211),
@@ -253,6 +253,62 @@ class TestMittagLeffler:
                 ref = specfun._ml_taylor_mp(complex(z), alpha,
                                             0.434 * abs(z) ** (1.0 / alpha))
                 assert abs(v - ref) <= e
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.38, 0.52, 0.55, 0.62,
+                                       0.65, 0.7, 0.8, 0.9, 0.95])
+    def test_contour_tier_within_its_bars(self, alpha):
+        """Between the float64 Taylor and the asymptotic tiers the value
+        comes from the optimal parabolic contour.  On the solver's rays
+        -1 and +-i its reported error bounds the distance to the
+        extended-precision sum.  For +-i and alpha > 1/2 the pole at angle
+        pi / (2 alpha) lies on the principal sheet: at 0.52 the contour
+        passes right of it, from 0.62 on between it and the branch point,
+        adding its residue, and at 0.55 both choices occur along the ray."""
+        p = MLParams(alpha=alpha)
+        radii = np.geomspace(specfun._ML_F64_EXPONENT,
+                             specfun._ML_ASY_EXPONENT, 8)[1:-1] ** alpha
+        for ray in (-1.0, 1j, -1j):
+            zs = ray * radii
+            vals, errs = mittag_leffler_grid(zs, p)
+            for z, v, e in zip(zs, vals, errs):
+                ref = specfun._ml_taylor_mp(complex(z), alpha,
+                                            0.434 * abs(z) ** (1.0 / alpha))
+                assert abs(v - ref) <= e
+                # absolute, as the Fourier route charges it: ml_err * B
+                assert e <= 1e-14
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_contour_tier_within_its_bars_off_the_rays(self, seed):
+        """Random directions, and ``arg z`` just inside ``alpha pi``,
+        where the pole nears the branch cut.  Where ``Re s* > 0`` the
+        residue grows like ``e^{|z|^(1/alpha)}`` and the bar with it."""
+        rng = np.random.default_rng(seed)
+        for alpha in rng.uniform(0.05, 0.98, 6):
+            root = rng.uniform(specfun._ML_F64_EXPONENT,
+                               specfun._ML_ASY_EXPONENT, 4)
+            theta = np.concatenate([rng.uniform(-math.pi, math.pi, 3),
+                                    [alpha * math.pi * (1.0 - 1e-3)]])
+            zs = root ** alpha * np.exp(1j * theta)
+            vals, errs = mittag_leffler_grid(zs, MLParams(alpha=alpha))
+            for z, v, e in zip(zs, vals, errs):
+                ref = specfun._ml_taylor_mp(complex(z), alpha,
+                                            0.434 * abs(z) ** (1.0 / alpha))
+                assert abs(v - ref) <= e
+
+    def test_contour_grid_matches_pointwise(self):
+        """Points of different node counts share the chunks of one grid
+        call; each is summed over its own nodes only."""
+        rng = np.random.default_rng(7)
+        alpha = 0.8
+        root = rng.uniform(specfun._ML_F64_EXPONENT,
+                           specfun._ML_ASY_EXPONENT, 300)
+        zs = root ** alpha * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
+        p = MLParams(alpha=alpha)
+        grid_vals, grid_errs = mittag_leffler_grid(zs, p)
+        for z, v, e in zip(zs, grid_vals, grid_errs):
+            one_v, one_e = mittag_leffler_grid(np.array([z]), p)
+            assert v == pytest.approx(one_v[0], rel=1e-13, abs=1e-15)
+            assert e == pytest.approx(one_e[0], rel=1e-13)
 
 
 class TestStableOneSided:
@@ -433,7 +489,7 @@ class TestExtendedPrecisionCap:
         lambda: _one(wright_w_grid, -5.5, WrightParams(eta=-0.5, beta=1.0)),
         lambda: _one(stable_spec_neg_density_grid, 3.5,
                      StableSpectrallyNegative(alpha=0.7, t=1.0)),
-        lambda: _ml_one(-5.0, 0.7),
+        lambda: specfun._ml_taylor_mp(-5.0 + 0.0j, 0.7, 4.3),
     ], ids=["wright", "spec_neg", "mittag_leffler"])
     def test_cap_raises_instead_of_partial_sum(self, monkeypatch, evaluate):
         evaluate()  # converges under the real cap
