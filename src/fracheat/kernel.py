@@ -213,17 +213,23 @@ def _decay_rate(n: int, t: float) -> tuple[float, float]:
 def _superexp_cutoff(n: int, t: float, r: int, tail_tol: float) -> float:
     """Smallest |x| with ``int_X^inf x^r exp(-c x^nu) dx`` below ``tail_tol``.
 
-    Fixed point on the logarithm of the Laplace-method tail estimate.  A
+    Fixed point on the logarithm of the Laplace-method tail estimate
+    ``X^(r+1-nu) exp(-c X^nu) / (c nu)``, held to ``tail_tol / 5``.  A
     minimal cutoff matters: the weight ``x^r`` amplifies the kernel
     evaluation noise, so integrating further than the tolerance requires
-    only degrades the moment.
+    only degrades the moment.  The cutoff is kept at or past ``x_min``,
+    where ``phi = c x^nu - r ln x`` has ``phi' >= c nu x^(nu-1) / 2``;
+    since ``phi`` is convex, the tail there is at most twice the estimate.
+    Without that floor a large ``r`` settles on the lower fixed point,
+    before the integrand's peak.
     """
     c, nu = _decay_rate(n, t)
-    x = (30.0 / c) ** (1.0 / nu)
+    x_min = (2.0 * r / (c * nu)) ** (1.0 / nu)
+    x = max((30.0 / c) ** (1.0 / nu), x_min)
     for _ in range(60):
         rhs = ((r + 1.0 - nu) * math.log(x)
                + math.log(5.0 / (tail_tol * c * nu)))
-        x_new = (max(rhs, 2.0) / c) ** (1.0 / nu)
+        x_new = max((max(rhs, 2.0) / c) ** (1.0 / nu), x_min)
         if abs(x_new - x) < 1e-9 * x:
             return x_new
         x = x_new
@@ -239,6 +245,9 @@ def _phase_point(n: int, t: float, phase: float) -> float:
 #: stationary-phase lobes summed on the oscillatory side of odd n
 _MOMENT_BLOCKS = 48
 
+#: absolute float64 noise of the kernel values, which ``x^r`` amplifies
+_KERNEL_NOISE = 1e-16
+
 
 def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
                           tol: float = 1e-9) -> QuadResult:
@@ -247,61 +256,95 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
 
     ``tol`` is relative to the natural moment magnitude
     ``t^{r/n} r! / Gamma(r/n+1)`` and is floored at the noise level that
-    the weight ``x^r`` induces (the reported error estimate stays honest
-    either way).  Even ``n``: one adaptive pass over the truncated
-    interval.  Odd ``n``: adaptive head plus stationary-phase lobe blocks
-    on the algebraically decaying oscillatory side, summed with
-    :func:`euler_tail_sum` (the lobe integrals may grow polynomially for
-    large ``r``; the averaging handles that).
+    the weight ``x^r`` induces.  Even ``n``: one adaptive pass over the
+    truncated interval.  Odd ``n``: adaptive head plus stationary-phase
+    lobe blocks on the algebraically decaying oscillatory side, summed
+    with :func:`euler_tail_sum` (the lobe integrals may grow polynomially
+    for large ``r``; the averaging handles that).
+
+    The error estimate adds to the quadrature's own the tails cut off
+    (``0.3 tol`` of the magnitude each) and the kernel values' error
+    estimate times ``int |x|^r dx`` over the integrated range.  Where that
+    weight lifts the kernel's float64 noise to the moment's magnitude, no
+    digit would be left, and :class:`DomainError` is raised.
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise DomainError(f"moment order must be an integer >= 0, got {r}")
     _require_time(t)
     _require_tol(tol)
     n = spec.n
+    log_mag = (float(gammaln(r + 1.0) - gammaln(r / n + 1.0))
+               + r / n * math.log(t))
     mag = closed_form(
-        1.0,
-        float(gammaln(r + 1.0) - gammaln(r / n + 1.0)) + r / n * math.log(t),
+        1.0, log_mag,
         lambda: t ** (r / n) * math.gamma(r + 1.0) / math.gamma(r / n + 1.0),
         f"the scale of moment {r} of the kernel")
     abs_tol = tol * max(1.0, mag)
-    inner_tol = 1e-10
+    tail_tol = 0.3 * abs_tol
+    inner_tol = 1e-12
+    kernel_err = 0.0
 
     def f(xs: np.ndarray) -> np.ndarray:
-        vals, _, _ = kernel_contour_values(n, spec.k, xs, t, inner_tol)
+        nonlocal kernel_err
+        vals, err, _ = kernel_contour_values(n, spec.k, xs, t, inner_tol)
+        kernel_err = max(kernel_err, err)
         if r == 0:
             return vals
         return xs ** r * vals
 
     scale = t ** (1.0 / n)
-    cut = _superexp_cutoff(n, t, r, 0.3 * abs_tol)
+    cut = _superexp_cutoff(n, t, r, tail_tol)
     if n % 2 == 0:
-        # Kernel values carry ~1e-17 absolute noise; x^r amplifies it, and
-        # below this level the adaptive error estimate cannot settle.
-        noise_floor = 1e-16 * cut ** (r + 1) / (r + 1.0)
+        reach, tails = cut, 2
+    else:
+        # gamma = k (-1)^{(n-1)/2} fixes the rotation; the kernel decays
+        # superexponentially for gamma * x > 0 and oscillates with an
+        # algebraic envelope on the other side.
+        gamma = spec.k * (-1) ** ((n - 1) // 2)
+        osc_dir = -float(gamma)     # sign of x on the oscillatory side
+        phase0 = 6.0 * math.pi
+        bounds = np.array([_phase_point(n, t, phase0 + j * math.pi)
+                           for j in range(_MOMENT_BLOCKS + 1)])
+        reach, tails = float(bounds[-1]), 1
+    log_noise = math.log(_KERNEL_NOISE)
+
+    def log_power(a: float) -> float:
+        """log of int_0^a x^r dx"""
+        return (r + 1) * math.log(a) - math.log(r + 1.0)
+
+    # int |x|^r dx from -cut to reach (mirrored for odd n as needed); past
+    # this check every noise level below is finite
+    log_weight = float(np.logaddexp(log_power(cut), log_power(reach)))
+    if log_noise + log_weight >= log_mag:
+        raise DomainError(
+            f"x^{r} lifts the kernel's float64 noise to the magnitude of "
+            f"moment {r} (about 10^{log_mag / math.log(10.0):.0f}); no "
+            "digit of it would be left")
+
+    def result(value: float, quad_err: float, evals: int) -> QuadResult:
+        noise = kernel_err * math.exp(log_weight)
+        return QuadResult(value=value,
+                          error_estimate=quad_err + tails * tail_tol + noise,
+                          evaluations=evals)
+
+    if n % 2 == 0:
+        # Below this level the adaptive error estimate cannot settle.
+        noise_floor = math.exp(log_noise + log_power(cut))
         init = max(16, int(2.0 * cut / scale))
         res = integrate_adaptive(f, -cut, cut, max(abs_tol, noise_floor),
                                  initial_intervals=init)
-        return res
+        return result(res.value, res.error_estimate, res.evaluations)
 
-    # Odd n: gamma = k (-1)^{(n-1)/2} fixes the rotation; the kernel decays
-    # superexponentially for gamma * x > 0 and oscillates with an algebraic
-    # envelope on the other side.
-    gamma = spec.k * (-1) ** ((n - 1) // 2)
-    osc_dir = -float(gamma)         # sign of x on the oscillatory side
-    phase0 = 6.0 * math.pi
-    x_head = _phase_point(n, t, phase0)
+    x_head = float(bounds[0])
     if osc_dir > 0:
         lo, hi = -cut, x_head
     else:
         lo, hi = -x_head, cut
     init = max(16, int((hi - lo) / scale))
-    head_floor = 1e-16 * max(cut, x_head) ** (r + 1) / (r + 1.0)
+    head_floor = math.exp(log_noise + log_power(max(cut, x_head)))
     head = integrate_adaptive(f, lo, hi, max(0.5 * abs_tol, head_floor),
                               initial_intervals=init)
 
-    bounds = np.array([_phase_point(n, t, phase0 + j * math.pi)
-                       for j in range(_MOMENT_BLOCKS + 1)])
     base_tol = 0.5 * abs_tol / _MOMENT_BLOCKS
     block_vals = np.empty(_MOMENT_BLOCKS)
     evals = head.evaluations
@@ -310,15 +353,13 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
         a, b = osc_dir * bounds[j], osc_dir * bounds[j + 1]
         if a > b:
             a, b = b, a
-        floor_j = 1e-16 * bounds[j + 1] ** r * (bounds[j + 1] - bounds[j])
+        floor_j = (_KERNEL_NOISE * bounds[j + 1] ** r
+                   * (bounds[j + 1] - bounds[j]))
         res = integrate_adaptive(f, a, b, max(base_tol, floor_j),
                                  initial_intervals=2)
         block_vals[j] = res.value
         err_blocks += res.error_estimate
         evals += res.evaluations
     tail_sum, tail_err = euler_tail_sum(block_vals)
-    return QuadResult(
-        value=head.value + tail_sum,
-        error_estimate=head.error_estimate + err_blocks + tail_err,
-        evaluations=evals,
-    )
+    return result(head.value + tail_sum,
+                  head.error_estimate + err_blocks + tail_err, evals)

@@ -454,43 +454,30 @@ _LOG_EPS = math.log(np.finfo(float).eps)
 _ML_CHUNK = 1 << 14
 
 
-def _ml_region_past(phi: np.ndarray, p: float,
-                    log_tol: float) -> tuple[np.ndarray, ...]:
-    """``(mu, h, N)`` of the parabola ``s = mu (1 + iu)^2`` that passes
-    right of the singularity on the parabola ``phi`` (``phi(s) =
-    (Re s + |s|) / 2``), of strength ``p`` (0 at the branch point, 1 at a
-    pole), with no singularity further right (Garrappa's unbounded region,
-    at t = 1).  ``N`` is inf where rounding, which grows like ``e^mu``,
-    rules the region out."""
-    sq_phi = np.sqrt(phi)
-    phibar = np.where(phi > 0.0, 1.01 * phi, 0.01)
-    sq_bar = np.sqrt(phibar)
-    for _ in range(50):
-        lep = log_tol / phibar
-        n = np.ceil(phibar / math.pi * (1.0 - 1.5 * lep
-                                        + np.sqrt(1.0 - 2.0 * lep)))
-        a = math.pi * n / phibar
-        sq_mu = (sq_bar * np.abs(4.0 - a)
-                 / np.abs(7.0 - np.sqrt(1.0 + 12.0 * a)))
-        if p == 0.0:
-            break
-        # widen the gap to the singularity until its amplification of the
-        # discretisation error, fbar, lies in (1, 10)
-        fbar = ((sq_bar - sq_phi) / sq_mu) ** -p
-        done = (fbar > 1.0) & (fbar < 10.0)
-        if np.all(done):
-            break
-        sq_bar = np.where(done, sq_bar, 5.0 ** (-1.0 / p) * sq_mu + sq_phi)
-        phibar = sq_bar ** 2
-    else:
-        n = np.where(done, n, np.inf)
-    mu = sq_mu ** 2
+def _ml_parabola(sq_bar, log_tol: float) -> tuple[np.ndarray, ...]:
+    """Garrappa's ``(sqrt(mu), h, N)`` at t = 1 for the parabola
+    ``s = mu (1 + iu)^2`` of the unbounded region, whose nearest
+    singularity on its left sits at ``phibar = sq_bar^2`` on the
+    parabola scale ``phi(s) = (Re s + |s|) / 2``."""
+    phibar = sq_bar ** 2
+    lep = log_tol / phibar
+    n = np.ceil(phibar / math.pi * (1.0 - 1.5 * lep
+                                    + np.sqrt(1.0 - 2.0 * lep)))
+    a = math.pi * n / phibar
+    sq_mu = sq_bar * np.abs(4.0 - a) / np.abs(7.0 - np.sqrt(1.0 + 12.0 * a))
     h = (-3.0 * a - 2.0 + 2.0 * np.sqrt(1.0 + 12.0 * a)) / (4.0 - a) / n
-    # past mu = log(tol / eps) the rounding of e^mu swamps the target: pin
-    # mu there and take the node count from the rounding-limited model
+    return sq_mu, h, n
+
+
+def _ml_pinned(sq_mu, h, n, phibar,
+               log_tol: float) -> tuple[np.ndarray, ...]:
+    """``(mu, h, N)`` from :func:`_ml_parabola`'s, with ``mu`` held at
+    ``log(tol / eps)``: past it the rounding of ``e^mu`` swamps the
+    target, so ``N`` comes from the rounding-limited model for a
+    singularity at ``phibar``.  ``N`` is inf where that singularity leaves
+    the pinned parabola no room."""
+    mu = sq_mu ** 2
     gap = log_tol - _LOG_EPS
-    q = 0.0 if p == 0.0 else 5.0 ** (-1.0 / p) * np.sqrt(mu)
-    phibar = (q + sq_phi) ** 2
     w = math.sqrt(_LOG_EPS / -gap)
     with np.errstate(divide="ignore", invalid="ignore"):
         n_pin = np.ceil(w * log_tol / (2.0 * math.pi)
@@ -499,6 +486,36 @@ def _ml_region_past(phi: np.ndarray, p: float,
     over = mu > gap
     return (np.where(over, gap, mu), np.where(over, w / n_pin, h),
             np.where(over, n_pin, n))
+
+
+#: ``(mu, h, N)`` for a point with no pole, where only the branch point at
+#: 0 bounds the parabola (Garrappa's unbounded region with p = 0, which
+#: stands ``phibar = 0.01`` in for the singularity at 0).
+_ML_BRANCH_ONLY = tuple(float(v) for v in _ml_pinned(
+    *_ml_parabola(0.1, math.log(_ML_CONTOUR_TOL)), 0.0,
+    math.log(_ML_CONTOUR_TOL)))
+
+
+def _ml_region_past(phi1: np.ndarray,
+                    log_tol: float) -> tuple[np.ndarray, ...]:
+    """``(mu, h, N)`` of the parabola that passes right of a pole on the
+    parabola ``phi1``, with no singularity further right (Garrappa's
+    unbounded region with p = 1, at t = 1).  ``N`` is inf where rounding,
+    which grows like ``e^mu``, rules the region out."""
+    sq_phi = np.sqrt(phi1)
+    sq_bar = np.sqrt(1.01 * phi1)
+    for _ in range(50):
+        sq_mu, h, n = _ml_parabola(sq_bar, log_tol)
+        # widen the gap to the pole until its amplification of the
+        # discretisation error, fbar, lies in (1, 10)
+        fbar = sq_mu / (sq_bar - sq_phi)
+        done = (fbar > 1.0) & (fbar < 10.0)
+        if np.all(done):
+            break
+        sq_bar = np.where(done, sq_bar, 0.2 * sq_mu + sq_phi)
+    else:
+        n = np.where(done, n, np.inf)
+    return _ml_pinned(sq_mu, h, n, (0.2 * sq_mu + sq_phi) ** 2, log_tol)
 
 
 def _ml_region_between(phi1: np.ndarray,
@@ -542,9 +559,9 @@ def _ml_contour(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     has_pole = (np.abs(theta) < alpha * math.pi) & (phi1 > 1e-15)
     phi1 = np.where(has_pole, phi1, 1.0)
 
-    mu, h, n = _ml_region_past(np.zeros(z.shape), 0.0, log_tol)
+    mu, h, n = _ML_BRANCH_ONLY
     mu_b, h_b, n_b = _ml_region_between(phi1, log_tol)
-    mu_u, h_u, n_u = _ml_region_past(phi1, 1.0, log_tol)
+    mu_u, h_u, n_u = _ml_region_past(phi1, log_tol)
     between = n_b <= n_u
     mu = np.where(has_pole, np.where(between, mu_b, mu_u), mu)
     h = np.where(has_pole, np.where(between, h_b, h_u), h)

@@ -19,6 +19,8 @@ from scipy.special import airy
 from fracheat._errors import DomainError
 from fracheat.kernel import (
     EquationSpec,
+    _decay_rate,
+    _superexp_cutoff,
     kernel_density_grid,
     kernel_laplace,
     kernel_moment,
@@ -274,16 +276,43 @@ class TestKernelMomentNumeric:
         with pytest.raises(DomainError):
             kernel_moment_numeric(spec, 0, -0.5)
 
-    def test_orders_past_the_factorial_range(self):
-        """From r = 171 the scale ``r! / Gamma(r/n + 1)`` of the tolerance
-        has a factor beyond the float range while the scale itself is
-        inside it; only a scale beyond the range refuses."""
-        spec = make_equation_spec(2)
-        res = kernel_moment_numeric(spec, 172, 1.0)
-        assert math.isfinite(res.value)
-        assert math.isfinite(res.error_estimate)
+    @pytest.mark.parametrize("n,sign,r", [
+        (2, 1, 0), (2, 1, 20), (2, 1, 30), (3, 1, 2), (3, -1, 7),
+        (3, 1, 13), (4, 1, 4), (4, 1, 9), (4, 1, 13), (5, 1, 5),
+        (5, -1, 10)])
+    def test_error_estimate_bounds_the_error(self, n, sign, r):
+        """Up to the highest orders it answers, the reported estimate
+        bounds the distance to the closed form, with the kernel's own
+        error weighted by ``|x|^r`` and the tails cut off counted in."""
+        spec = make_equation_spec(n, sign)
+        res = kernel_moment_numeric(spec, r, 1.0)
+        ref = kernel_moment(spec, r, 1.0)
+        assert abs(res.value - ref) <= res.error_estimate, (
+            res.value, ref, res.error_estimate)
+
+    @pytest.mark.parametrize("n,r", [(2, 50), (2, 172), (4, 132), (5, 120)])
+    def test_refuses_orders_the_noise_swamps(self, n, r):
+        """Where ``x^r`` lifts the kernel's float64 noise to the moment's
+        magnitude, no digit is left: a typed refusal, not a value (r = 172
+        once returned 5.9e74 for a moment of 8.8e180, and from r = 132
+        ``n = 4`` raised an untyped OverflowError)."""
+        with pytest.raises(DomainError, match="no digit"):
+            kernel_moment_numeric(make_equation_spec(n), r, 1.0)
+
+    def test_refuses_a_magnitude_beyond_the_float_range(self):
         with pytest.raises(DomainError, match="beyond the float range"):
-            kernel_moment_numeric(spec, 400, 1.0)
+            kernel_moment_numeric(make_equation_spec(2), 400, 1.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("r", [10, 50, 172])
+    def test_cutoff_lies_past_the_weighted_peak(self, n, r):
+        """The tail estimate holds only past the peak of
+        ``x^r exp(-c x^nu)``; a large tolerance once let the fixed point
+        settle before it (n = 2, r = 172: 2.8 against a peak at 18.5)."""
+        c, nu = _decay_rate(n, 1.0)
+        mag = math.exp(math.lgamma(r + 1.0) - math.lgamma(r / n + 1.0))
+        cut = _superexp_cutoff(n, 1.0, r, 0.3e-9 * mag)
+        assert cut >= (r / (c * nu)) ** (1.0 / nu)
 
 
 class TestKernelLaplace:
