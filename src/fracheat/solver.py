@@ -84,8 +84,18 @@ _OSC_PHASE0 = 6.0 * math.pi
 _OSC_BLOCKS = 72
 _OSC_NODES = 10
 
+#: subordination in v = u^(1/n): Gauss-Legendre nodes per half panel,
+#: geometric panel ratio, uniform panels across [0, v_hi], panel cap per
+#: point, and nodes per evaluation chunk (about 2 MB of work arrays)
+_V_NODES = 8
+_V_RATIO = 2.0
+_V_UNIFORM = 4
+_V_MAX_PANELS = 2048
+_V_CHUNK = 1 << 14
+
 #: Gauss-Legendre rules, built once
 _GL_OSC = leggauss(_OSC_NODES)
+_GL_V = leggauss(_V_NODES)
 _GL16 = leggauss(16)
 
 #: zero the kernel profile on decaying sides once the saddle bound
@@ -218,9 +228,10 @@ class _Chebyshev:
             merged = np.empty((active.size, npts))
             merged[:, 0::2], merged[:, 1::2] = vals, probes
             vals = merged
-        self._coef = np.zeros((lo.size, max(c.size for c in coefs)))
+        # one row per degree, one column per panel
+        self._coef = np.zeros((max(c.size for c in coefs), lo.size))
         for j, c in enumerate(coefs):
-            self._coef[j, :c.size] = c
+            self._coef[:c.size, j] = c
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -230,23 +241,17 @@ class _Chebyshev:
             xs = x[ok]
             j = np.minimum(np.searchsorted(self.edges, xs, side="right") - 1,
                            self._lo.size - 1)
-            # one panel needs no per-point coefficient rows
-            coef = self._coef[0] if self._lo.size == 1 else self._coef[j].T
-            out[ok] = chebval((xs - self._lo[j]) / self._rad[j] - 1.0, coef,
-                              tensor=False)
+            u = (xs - self._lo[j]) / self._rad[j] - 1.0
+            if self._lo.size == 1:
+                out[ok] = chebval(u, self._coef[:, 0])
+                return out
+            # Clenshaw, gathering each degree's coefficients per point
+            coef = self._coef
+            b1 = b2 = 0.0
+            for c in coef[:0:-1]:
+                b1, b2 = c[j] + 2.0 * u * b1 - b2, b1
+            out[ok] = coef[0][j] + u * b1 - b2
         return out
-
-
-def _kernel_sides(spec: EquationSpec) -> tuple[float, int]:
-    """``(clip_abs, osc_dir)`` of ``phi = p_n(., 1)``: beyond ``clip_abs``
-    a superexponentially decaying side is below ``e^-70`` by the saddle
-    bound, and ``osc_dir`` is the sign of the algebraically decaying,
-    oscillatory side of odd ``n`` (0 for even ``n``)."""
-    c, nu = _decay_rate(spec.n, 1.0)
-    clip_abs = (_DECAY_CLIP_LOG / c) ** (1.0 / nu)
-    if spec.n % 2 == 0:
-        return clip_abs, 0
-    return clip_abs, -spec.k * (-1) ** ((spec.n - 1) // 2)
 
 
 class _KernelProfile(_Chebyshev):
@@ -255,8 +260,9 @@ class _KernelProfile(_Chebyshev):
     Self-similarity gives ``p_n(x, u) = u^{-1/n} phi(x u^{-1/n})``, so one
     fit per ``(n, k)`` serves every subordination quadrature node.  It
     covers every argument the subordination integral evaluates: a decaying
-    side out to the saddle bound ``clip_abs`` and the oscillatory side of
-    odd ``n`` out to the last phase-block edge of its
+    side out to ``clip_abs``, where the saddle bound puts it below
+    ``e^-70``, and the oscillatory side of odd ``n`` (sign ``osc_dir``, 0
+    for even ``n``) out to the last phase-block edge of its
     :class:`_OscillatoryTail`; beyond those points it is zero.  The
     contour runs in chunks sorted by ``|y|``, because each call sizes its
     contour for its largest point.
@@ -264,8 +270,10 @@ class _KernelProfile(_Chebyshev):
 
     def __init__(self, n: int, k: int) -> None:
         self.spec = make_equation_spec(n, k)
-        clip_abs, self.osc_dir = _kernel_sides(self.spec)
-        lo, hi = -clip_abs, clip_abs
+        c, nu = _decay_rate(n, 1.0)
+        self.clip_abs = (_DECAY_CLIP_LOG / c) ** (1.0 / nu)
+        self.osc_dir = (n % 2) * -self.spec.k * (-1) ** ((n - 1) // 2)
+        lo, hi = -self.clip_abs, self.clip_abs
         if self.osc_dir:
             phases = _OSC_PHASE0 + math.pi * np.arange(_OSC_BLOCKS + 1)
             osc_edges = np.array([_phase_point(n, 1.0, p) for p in phases])
@@ -298,11 +306,6 @@ class _KernelProfile(_Chebyshev):
             out[chunk], _, _ = kernel_density_grid(self.spec, ys[chunk], 1.0,
                                                    _KERNEL_TOL)
         return out
-
-    def at(self, x: float, u) -> np.ndarray:
-        """``p_n(x, u)`` on an array of u-nodes."""
-        scale = np.asarray(u, dtype=float) ** (-1.0 / self.spec.n)
-        return scale * self(x * scale)
 
 
 @lru_cache(maxsize=32)
@@ -375,57 +378,120 @@ class _OscillatoryTail:
         self.node_weights = (rad[:, None] * ref[None, :]).ravel()
         self.profile_vals = kernel(float(kernel.osc_dir) * self.nodes)
 
-    def head(self, x: float, weight, y_start: float) -> tuple[float, float]:
-        """Integral of ``p_n(x, u) weight(u)`` over ``(0, (|x|/y_start)^n]``."""
-        kernel = self.kernel
-        n = kernel.spec.n
+    def head(self, x: float, weight, j0: int) -> tuple[float, float]:
+        """Integral of ``p_n(x, u) weight(u)`` over
+        ``(0, (|x| / edges[j0])^n]``: the phase blocks from ``j0`` on.
+        Past the last edge it is only bounded, by the last block (the lobes
+        keep shrinking, so the first omitted one bounds the rest)."""
+        n = self.kernel.spec.n
         ax = abs(x)
-        pref = n * ax ** (n - 1)
-
-        def strip(ys):
-            ys = np.asarray(ys, dtype=float)
-            pv = kernel(float(kernel.osc_dir) * ys)
-            wv = weight((ax / ys) ** n)
-            return pref * ys ** (-n) * pv * wv
-
         wv = weight((ax / self.nodes) ** n)
-        contrib = (pref * self.node_weights * self.nodes ** float(-n)
-                   * self.profile_vals * wv)
+        contrib = (n * ax ** (n - 1) * self.node_weights
+                   * self.nodes ** float(-n) * self.profile_vals * wv)
         blocks = contrib.reshape(_OSC_BLOCKS, _OSC_NODES).sum(axis=1)
-        if y_start >= self.edges[-6]:
-            # already deep in the tail: integrate the remaining strip and
-            # bound the remainder by the final computed lobe (the lobes
-            # keep shrinking, so the first omitted one bounds the rest)
-            bound = abs(float(blocks[-1]))
-            if y_start >= float(self.edges[-1]):
-                return 0.0, bound
-            res = integrate_adaptive(strip, y_start, float(self.edges[-1]),
-                                     1e-11)
-            return res.value, res.error_estimate + bound
-        if y_start <= self.edges[0] * (1.0 + 1e-12):
-            j0 = 0
-            part_val = part_err = 0.0
-        else:
-            j0 = int(np.searchsorted(self.edges, y_start, side="left"))
-            res = integrate_adaptive(strip, y_start, float(self.edges[j0]),
-                                     1e-11)
-            part_val, part_err = res.value, res.error_estimate
-        tail_val, tail_err = euler_tail_sum(blocks[j0:])
-        return part_val + tail_val, part_err + tail_err
+        if j0 == _OSC_BLOCKS:
+            return 0.0, abs(float(blocks[-1]))
+        return euler_tail_sum(blocks[j0:])
 
 
-def _integrate_against_kernel(kernel: _KernelProfile, x: float, weight,
-                              u_hi: float, tol: float) -> tuple[float, float]:
-    """``int_0^{u_hi} p_n(x, u) weight(u) du`` with endpoint care.
+def _v_integral(kernel: _KernelProfile, ys: np.ndarray, v_lo: np.ndarray,
+                v_hi: float, weight, budget: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """``int_{v_lo}^{v_hi} n v^(n-2) phi(y / v) weight(v^n) dv`` at every
+    ``y``: the u-integral of ``p_n(y, u) weight(u)`` in ``v = u^(1/n)``,
+    which absorbs the ``u^(-1/n)`` endpoint factor into a smooth integrand.
 
-    At ``x = 0`` the kernel is exactly ``phi(0) u^{-1/n}`` and the
-    singular factor goes into a Gauss-Jacobi rule; on the oscillatory
-    side of odd ``n`` the ``u -> 0`` endpoint is folded into phase
-    blocks; on decaying sides the integrand vanishes there and plain
-    adaptive quadrature suffices.
+    Each point gets composite Gauss-Legendre panels, geometric from its
+    ``v_lo`` and uniform beyond; a panel's error is its rule on the two
+    halves against its rule on the whole.  At every point over its
+    ``budget`` the panels above their mean share are halved, all points in
+    one array, until each point meets its budget or refuses at
+    ``_V_MAX_PANELS`` panels.  The values are the half-panel sums, and the
+    errors add a rounding floor to the summed differences.
     """
     n = kernel.spec.n
-    if x == 0.0:
+    node, ref = _GL_V
+    rows = _V_CHUNK // _V_NODES
+
+    def rule(a, b, pt):
+        out = np.empty(a.size)
+        for c in range(0, a.size, rows):
+            sl = slice(c, c + rows)
+            rad = 0.5 * (b[sl] - a[sl])
+            v = ((a[sl] + rad)[:, None] + rad[:, None] * node).ravel()
+            f = n * v ** (n - 2) * kernel(np.repeat(ys[pt[sl]], _V_NODES) / v)
+            out[sl] = rad * ((f * weight(v ** n)).reshape(-1, _V_NODES) @ ref)
+        return out
+
+    def halves(a, b, pt):
+        mid = 0.5 * (a + b)
+        return rule(np.append(a, mid), np.append(mid, b),
+                    np.append(pt, pt)).reshape(2, -1).T
+
+    # geometric edges v_lo q^j while a step is shorter than the uniform
+    # width h, then uniform panels up to v_hi; _V_UNIFORM > q / (q - 1)
+    # keeps the geometric part below v_hi.  Past 64 doublings phi(y / v)
+    # is phi(0) to rounding, so that caps the geometric part.
+    q, h = _V_RATIO, v_hi / _V_UNIFORM
+    v_lo = np.maximum(v_lo, np.finfo(float).tiny)
+    n_geo = np.minimum(np.ceil(np.log(np.maximum(
+        h / ((q - 1.0) * v_lo), 1.0)) / math.log(q)), 64.0)
+    g = v_lo * q ** n_geo
+    n_uni = np.ceil((v_hi - g) / h)
+    count = (n_geo + n_uni).astype(int)
+    pt = np.repeat(np.arange(ys.size), count)
+    j = np.arange(pt.size) - np.repeat(np.cumsum(count) - count, count)
+    k, w = n_geo[pt], ((v_hi - g) / n_uni)[pt]
+
+    def edge(m):
+        return np.where(m <= k, v_lo[pt] * q ** np.minimum(m, k),
+                        g[pt] + (m - k) * w)
+
+    a, b = edge(j), edge(j + 1)
+    whole, half = rule(a, b, pt), halves(a, b, pt)
+    while True:
+        est = np.abs(half.sum(axis=1) - whole)
+        err = np.bincount(pt, est, ys.size)
+        over = err > budget
+        if not np.any(over):
+            break
+        count = np.bincount(pt, minlength=ys.size)
+        if np.max(count[over]) >= _V_MAX_PANELS:
+            i = int(np.argmax(np.where(over, count, -1)))
+            raise ConvergenceError(
+                f"subordination at y={ys[i]:g} misses its budget "
+                f"{budget[i]:.2g} with {count[i]} panels "
+                f"(estimate {err[i]:.2g})")
+        split = over[pt] & (est * count[pt] > budget[pt])
+        mid = 0.5 * (a[split] + b[split])
+        a = np.concatenate((a[~split], a[split], mid))
+        b = np.concatenate((b[~split], mid, b[split]))
+        pt = np.concatenate((pt[~split], pt[split], pt[split]))
+        # a child's whole-panel rule is its parent's half
+        whole = np.concatenate((whole[~split], half[split, 0], half[split, 1]))
+        new = slice(a.size - 2 * mid.size, None)
+        half = np.concatenate((half[~split], halves(a[new], b[new], pt[new])))
+    floor = np.bincount(pt, np.abs(half).sum(axis=1), ys.size)
+    return (np.bincount(pt, half.sum(axis=1), ys.size),
+            err + 64.0 * np.finfo(float).eps * floor)
+
+
+def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
+                              weight, u_hi: float, tol: float
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """``int_0^{u_hi} p_n(y, u) weight(u) du`` at every ``y`` of ``ys``,
+    each within ``tol``.
+
+    At ``y = 0`` the kernel is exactly ``phi(0) u^{-1/n}`` and the
+    singular factor goes into a Gauss-Jacobi rule.  Every other point is
+    one row of :func:`_v_integral`, from where ``phi(y / v)`` starts: the
+    saddle bound ``clip_abs`` on a decaying side; on the oscillatory side
+    of odd ``n`` a phase-block edge, below which the ``u -> 0`` end is
+    folded into the blocks of :meth:`_OscillatoryTail.head`.
+    """
+    n = kernel.spec.n
+    values, errors = np.zeros(ys.size), np.zeros(ys.size)
+    for i in np.flatnonzero(ys == 0.0):
         # the singular factor is the Gauss-Jacobi weight and the remaining
         # integrand is smooth; phi(0) comes from the contour itself
         phi0, _, _ = kernel_density_grid(kernel.spec, np.zeros(1), 1.0,
@@ -433,24 +499,26 @@ def _integrate_against_kernel(kernel: _KernelProfile, x: float, weight,
         res = integrate_jacobi_singular(
             lambda u: float(phi0[0]) * weight(u), 0.0, u_hi,
             JacobiWeight(exponent=-1.0 / n, endpoint="left"), tol)
-        return res.value, res.error_estimate
-    if kernel.osc_dir and math.copysign(1.0, x) == kernel.osc_dir:
-        y0 = float(kernel.osc.edges[0])
-        u_osc = (abs(x) / y0) ** n
-        value = err = 0.0
-        if u_osc < u_hi:
-            body = integrate_adaptive(
-                lambda u: kernel.at(x, u) * weight(u), u_osc, u_hi, 0.5 * tol)
-            value += body.value
-            err += body.error_estimate
-            y_start = y0
-        else:
-            y_start = abs(x) * u_hi ** (-1.0 / n)
-        hv, he = kernel.osc.head(x, weight, y_start)
-        return value + hv, err + he
-    res = integrate_adaptive(
-        lambda u: kernel.at(x, u) * weight(u), 0.0, u_hi, tol)
-    return res.value, res.error_estimate
+        values[i], errors[i] = res.value, res.error_estimate
+    v_hi = u_hi ** (1.0 / n)
+    v_lo = np.abs(ys) / kernel.clip_abs
+    osc = (ys != 0.0) & (np.sign(ys) == kernel.osc_dir)
+    if np.any(osc):
+        # the phase blocks take over at the first edge past |y| / v_hi, or
+        # at the last edge where fewer than five blocks would remain
+        j0 = np.searchsorted(kernel.osc.edges, np.abs(ys) / v_hi)
+        j0[j0 > _OSC_BLOCKS - 5] = _OSC_BLOCKS
+        v_lo[osc] = np.abs(ys[osc]) / kernel.osc.edges[j0[osc]]
+    body = (ys != 0.0) & (v_lo < v_hi)
+    if np.any(body):
+        values[body], errors[body] = _v_integral(
+            kernel, ys[body], v_lo[body], v_hi, weight,
+            np.where(osc, 0.5, 1.0)[body] * tol)
+    for i in np.flatnonzero(osc):
+        hv, he = kernel.osc.head(float(ys[i]), weight, int(j0[i]))
+        values[i] += hv
+        errors[i] += he
+    return values, errors
 
 
 # ---------------------------------------------------------------------------
@@ -473,13 +541,9 @@ def _subordinate(spec: EquationSpec, alpha: float, ys: np.ndarray,
     fixed_err = (2.0 * max(kernel.sup, 0.5) * clip_err
                  + kernel.fit_err * float(gamma_fn(1.0 - 1.0 / n)
                                           / gamma_fn(1.0 - alpha / n)))
-    values = np.empty(ys.size)
-    errors = np.empty(ys.size)
-    for i, y in enumerate(ys):
-        values[i], err = _integrate_against_kernel(
-            kernel, float(y), prof.profile, prof.x_clip, 0.5 * tol)
-        errors[i] = err + fixed_err
-    return values, errors
+    values, errors = _integrate_against_kernel(kernel, ys, prof.profile,
+                                               prof.x_clip, 0.5 * tol)
+    return values, errors + fixed_err
 
 
 # ---------------------------------------------------------------------------
@@ -751,41 +815,39 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
     closed = s ** (alpha - 1.0) * kernel_laplace(spec, x, s ** alpha)
-    t_cut = 45.0 / s
+    t_cut, u_hi = 45.0 / s, 35.0 / s ** alpha
     kernel = _kernel_profile(spec.n, spec.k)
     if alpha == 1.0:
         # the random time is t itself, so the weight is e^{-st}
-        value, _ = _integrate_against_kernel(
-            kernel, x, lambda ts: np.exp(-s * np.asarray(ts, dtype=float)),
-            t_cut, 0.2 * tol)
-        return abs(value - closed)
-    prof = _time_profile(alpha)
+        weight, u_hi = (lambda ts: np.exp(-s * ts)), t_cut
+    else:
+        prof = _time_profile(alpha)
 
-    def time_integral(u: float) -> float:
-        # int_0^{t_cut} e^{-st} vbar(u, t) dt; below t_floor the density
-        # argument leaves the fitted trust region and the integrand is
-        # superexponentially small (dropped, covered by the tolerance)
-        if u <= 0.0:
-            return 0.0
-        t_floor = (u / prof.x_clip) ** (1.0 / alpha)
-        lo = min(t_floor, t_cut)
-        if lo >= t_cut:
-            return 0.0
+        def time_integral(u: float) -> float:
+            # int_0^{t_cut} e^{-st} vbar(u, t) dt; below t_floor the density
+            # argument leaves the fitted trust region and the integrand is
+            # superexponentially small (dropped, covered by the tolerance)
+            if u <= 0.0:
+                return 0.0
+            t_floor = (u / prof.x_clip) ** (1.0 / alpha)
+            lo = min(t_floor, t_cut)
+            if lo >= t_cut:
+                return 0.0
 
-        def g(ts):
-            ts = np.asarray(ts, dtype=float)
-            sc = ts ** -alpha
-            return np.exp(-s * ts) * sc * prof.profile(u * sc)
+            def g(ts):
+                ts = np.asarray(ts, dtype=float)
+                sc = ts ** -alpha
+                return np.exp(-s * ts) * sc * prof.profile(u * sc)
 
-        return float(integrate_adaptive(g, lo, t_cut, 1e-10).value)
+            return float(integrate_adaptive(g, lo, t_cut, 1e-10).value)
 
-    def weight(us):
-        us = np.atleast_1d(np.asarray(us, dtype=float))
-        return np.array([time_integral(float(u)) for u in us])
+        def weight(us):
+            us = np.atleast_1d(np.asarray(us, dtype=float))
+            return np.array([time_integral(float(u)) for u in us])
 
-    value, _ = _integrate_against_kernel(kernel, x, weight,
-                                         35.0 / s ** alpha, 0.2 * tol)
-    return abs(value - closed)
+    value, _ = _integrate_against_kernel(kernel, np.array([x]), weight, u_hi,
+                                         0.2 * tol)
+    return abs(float(value[0]) - closed)
 
 
 # ---------------------------------------------------------------------------
@@ -805,74 +867,6 @@ def _derivative_weights(offsets: np.ndarray, order: int) -> np.ndarray:
     return np.linalg.solve(vand, rhs)
 
 
-class _GridField:
-    """Default field evaluator for the residual check.
-
-    One kernel matrix on a shared log-spaced u-grid (built once per
-    stencil), then one time-density vector per requested time; for odd
-    orders the oscillatory-side head below the first phase block is
-    truncated, so supply an explicit field when that side matters.
-    """
-
-    def __init__(self, spec: EquationSpec, alpha: float, t_max: float) -> None:
-        self.spec = spec
-        self.alpha = alpha
-        self.clip_abs, self.osc_dir = _kernel_sides(spec)
-        if alpha < 1.0:
-            self.prof = _time_profile(alpha)
-            self.u_hi = self.prof.x_clip * t_max ** alpha
-        self._key = None
-
-    def _build(self, x_nodes: np.ndarray) -> None:
-        n = self.spec.n
-        ax_min = float(np.min(np.abs(x_nodes)))
-        if ax_min <= 0.0:
-            raise DomainError("the default field needs stencil nodes away "
-                              "from the origin")
-        if self.osc_dir:
-            y_floor = float(_phase_point(n, 1.0, _OSC_PHASE0))
-        else:
-            y_floor = self.clip_abs
-        u_lo = min((ax_min / y_floor) ** n, 1e-3 * self.u_hi)
-        half, ref = _GL16
-        edges = np.geomspace(u_lo, self.u_hi, 25)
-        lmid = 0.5 * (np.log(edges[1:]) + np.log(edges[:-1]))
-        lrad = 0.5 * (np.log(edges[1:]) - np.log(edges[:-1]))
-        lnodes = (lmid[:, None] + lrad[:, None] * half[None, :]).ravel()
-        self.u_nodes = np.exp(lnodes)
-        w_log = (lrad[:, None] * ref[None, :]).ravel()
-        scale = self.u_nodes ** (-1.0 / n)
-        args = x_nodes[:, None] * scale[None, :]
-        profile = self._phi(args.ravel()).reshape(args.shape)
-        kernel_mat = scale[None, :] * profile
-        # fold the log-map jacobian and the weights into the matrix
-        self.k_w = kernel_mat * (w_log * self.u_nodes)[None, :]
-        self._key = tuple(float(v) for v in x_nodes)
-
-    def _phi(self, y: np.ndarray) -> np.ndarray:
-        """``phi`` by the contour to 1e-13, zero on a decaying side beyond
-        the saddle bound."""
-        out = np.zeros_like(y)
-        keep = np.abs(y) <= self.clip_abs
-        if self.osc_dir:
-            keep |= np.sign(y) == self.osc_dir
-        if np.any(keep):
-            out[keep], _, _ = kernel_density_grid(self.spec, y[keep], 1.0,
-                                                  1e-13)
-        return out
-
-    def __call__(self, x_nodes, t: float) -> np.ndarray:
-        x_nodes = np.atleast_1d(np.asarray(x_nodes, dtype=float))
-        if self.alpha == 1.0:
-            vals, _, _ = kernel_density_grid(self.spec, x_nodes, t, 1e-13)
-            return vals
-        key = tuple(float(v) for v in x_nodes)
-        if key != self._key:
-            self._build(x_nodes)
-        return self.k_w @ (t ** -self.alpha * self.prof.profile(
-            self.u_nodes * t ** -self.alpha))
-
-
 def caputo_residual(spec: EquationSpec, alpha: float, x: float,
                     t_grid, h_x: float, field=None) -> float:
     """Max interior defect of the discretized equation along ``t_grid``.
@@ -882,8 +876,9 @@ def caputo_residual(spec: EquationSpec, alpha: float, x: float,
     ``(k+1)^{1-alpha} - k^{1-alpha}``, which at ``alpha = 1`` degenerates
     to backward Euler); the space derivative is an (n+2)-point centered
     stencil of spacing ``h_x``.  ``field(x_nodes, t) -> values`` defaults
-    to a shared-grid subordination evaluator; pass an explicit callable
-    to test a closed form instead.
+    to the subordination solution: by self-similarity one :func:`solve` at
+    ``t = 1`` on every mapped point ``x t^(-alpha/n)`` serves the whole
+    grid.  Pass an explicit callable to test a closed form instead.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 64:
@@ -910,13 +905,17 @@ def caputo_residual(spec: EquationSpec, alpha: float, x: float,
         raise DomainError("stencil touches the origin, where the initial "
                           "point mass lives; move x or shrink h_x")
     w = _derivative_weights(offsets, n) / h_x ** n
-    if field is None:
-        field = _GridField(spec, alpha, float(t_grid[-1]))
-    rows = [np.zeros(x_nodes.size + 1)]
     x_all = np.append(x_nodes, x)
-    for tv in t_grid[1:]:
-        rows.append(np.asarray(field(x_all, float(tv)), dtype=float))
-    u_mat = np.array(rows)
+    if field is None:
+        scale = t_grid[1:, None] ** (-alpha / n)
+        ys, where = np.unique(scale * x_all, return_inverse=True)
+        one = solve(SolutionRequest(spec, alpha, 1.0, tuple(ys),
+                                    route="subordination"))
+        rows = scale * one.values[where.reshape(scale.size, x_all.size)]
+    else:
+        rows = [np.asarray(field(x_all, float(tv)), dtype=float)
+                for tv in t_grid[1:]]
+    u_mat = np.vstack((np.zeros(x_all.size), rows))
     space_term = u_mat[:, :-1] @ w
     floor = 8.0 * 1e-15 * np.max(np.abs(u_mat[:, :-1])) * np.sum(np.abs(w))
     if not np.max(np.abs(space_term[1:])) > floor:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 import time
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -155,6 +156,58 @@ def test_error_estimates_dominate_truth():
         assert np.all(diff <= field.grid_errors() + 1e-12)
 
 
+@pytest.mark.parametrize("alpha, t, x", [(0.4, 1.3, 1.0), (0.5, 20.0, 2.5)])
+def test_subordination_bars_hold_at_order_two(alpha, t, x):
+    """Points where the u-variable quadrature once misjudged the
+    ``u^(-1/n)`` endpoint and reported bars below its error."""
+    xs = np.array([-x, x])
+    req = SolutionRequest(EquationSpec(2), alpha, t, tuple(xs),
+                          route="subordination")
+    field = solve(req)
+    diff = np.abs(field.values - wright_closed_form(xs, alpha, t))
+    assert np.all(diff <= field.errors + 1e-12)
+
+
+@pytest.mark.parametrize("n, sign", [(n, s) for n in range(3, 8)
+                                     for s in ((1, -1) if n % 2 else (1,))])
+def test_route_bars_cover_their_difference(n, sign):
+    """Both routes' bars together bound the difference of their values on
+    the decaying side, the origin and the oscillatory side."""
+    xs = (-3.0, -1.0, -0.2, 0.0, 0.7, 1.9, 3.5)
+    for alpha in (0.25, 0.45, 0.62, 0.85):
+        req = SolutionRequest(EquationSpec(n, sign), alpha, 1.0, xs)
+        sub = solve_by("subordination", req)
+        fou = solve_by("fourier_ml", req)
+        diff = np.abs(sub.values - fou.values)
+        assert np.all(diff <= sub.errors + fou.errors + 1e-12), alpha
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_subordination_next_to_the_origin(n):
+    """Points within a subnormal of 0 take the origin's value, within
+    their bars, on both sides."""
+    req = SolutionRequest(EquationSpec(n), 0.5, 1.0, (-1e-310, 0.0, 5e-324),
+                          route="subordination")
+    field = solve(req)
+    diff = np.abs(field.values - field.values[1])
+    assert np.all(diff <= field.errors + field.errors[1])
+
+
+def test_warm_subordination_memory_stays_small():
+    """The vectorised quadrature evaluates its nodes in bounded chunks."""
+    req = SolutionRequest(EquationSpec(3), 0.989, 1.0,
+                          tuple(np.linspace(-4.6, 4.4, 7)),
+                          route="subordination")
+    solve(req)
+    tracemalloc.start()
+    try:
+        solve(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # the random-time law inside subordination
 # ---------------------------------------------------------------------------
@@ -195,7 +248,8 @@ def test_time_profile_refusal_comes_before_quadrature(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("quadrature ran before the refusal")
 
-    for name in ("integrate_adaptive", "integrate_jacobi_singular"):
+    for name in ("integrate_adaptive", "integrate_jacobi_singular",
+                 "_v_integral"):
         monkeypatch.setattr(solver, name, forbidden)
     req = SolutionRequest(EquationSpec(3), 0.999, 1.0, (0.0, 1.0),
                           route="subordination")
@@ -237,6 +291,16 @@ def test_fourier_stays_in_float64(monkeypatch):
         field = solve(req)
         assert np.all(np.isfinite(field.values))
         assert np.all(np.isfinite(field.errors))
+
+
+def test_subordination_panel_cap_refuses(monkeypatch):
+    """A point that needs more panels than the cap refuses with a typed
+    error instead of returning a value its bar does not cover."""
+    monkeypatch.setattr(solver, "_V_MAX_PANELS", 8)
+    req = SolutionRequest(EquationSpec(3), 0.5, 1.0, (-1.0, 1.0),
+                          route="subordination")
+    with pytest.raises(ConvergenceError, match="panels"):
+        solve(req, tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +383,8 @@ def test_kernel_profile_refusal_comes_before_quadrature(
     def forbidden(*args, **kwargs):
         raise AssertionError("quadrature ran before the refusal")
 
-    for name in ("integrate_adaptive", "integrate_jacobi_singular"):
+    for name in ("integrate_adaptive", "integrate_jacobi_singular",
+                 "_v_integral"):
         monkeypatch.setattr(solver, name, forbidden)
     monkeypatch.setattr(solver, "_KERNEL_NODES", 5)
     monkeypatch.setattr(solver, "_KERNEL_MAX_NODES", 9)
@@ -697,6 +762,23 @@ def test_caputo_residual_degenerate_order():
     res = caputo_residual(EquationSpec(2), 1.0, 3.0,
                           np.linspace(0.0, 1.0, 129), 1e-2)
     assert res < 1e-3
+
+
+@pytest.mark.parametrize("n, x", [(3, 2.0), (3, -2.0), (2, 2.0)])
+def test_caputo_default_field_is_the_solution(n, x):
+    """The default field against one built from the Fourier route, on the
+    oscillatory and the decaying side of odd n."""
+    spec = EquationSpec(n)
+
+    def fourier_field(xs, t):
+        grid, where = np.unique(xs, return_inverse=True)
+        req = SolutionRequest(spec, 0.5, t, tuple(grid), route="fourier_ml")
+        return solve(req).values[where]
+
+    t_grid = np.linspace(0.0, 1.0, 129)
+    assert_allclose(caputo_residual(spec, 0.5, x, t_grid, 0.05),
+                    caputo_residual(spec, 0.5, x, t_grid, 0.05,
+                                    fourier_field), rtol=1e-6)
 
 
 def test_caputo_validation():
