@@ -105,6 +105,11 @@ _DECAY_CLIP_LOG = 70.0
 #: negative-power terms kept in the analytic Fourier tail
 _FOURIER_TAIL_TERMS = 6
 
+#: Fourier head: panel cap per request, and elements of one (nodes x
+#: points) phase chunk (1 MB)
+_HEAD_MAX_PANELS = 4096
+_HEAD_CHUNK = 1 << 16
+
 #: |x| B up to which the tail transforms recur upward from r = 1; beyond
 #: it they come from the continued fraction
 _TAIL_UPWARD_MAX = 7.0
@@ -665,7 +670,11 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
         phase = phase + sinfac * capped ** (n / alpha)
     # tiny ramp keeps the phase strictly increasing for the inversion
     phase = phase + (1e-9 / B) * betas
-    npanels = int(min(4096, math.ceil(phase[-1] / math.pi) + 8))
+    npanels = math.ceil(phase[-1] / math.pi) + 8
+    if npanels > _HEAD_MAX_PANELS:
+        raise ConvergenceError(
+            f"Fourier head needs {npanels} panels for |x| up to {xmax:.4g}, "
+            f"more than the cap of {_HEAD_MAX_PANELS}")
     npanels += npanels % 2  # even, so every other edge is a valid coarsening
     edges = np.interp(np.linspace(0.0, phase[-1], npanels + 1), phase, betas)
     edges[0], edges[-1] = 0.0, B
@@ -678,9 +687,14 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
         ws = (rad[:, None] * ref[None, :]).ravel()
         z = A * bs.astype(complex) ** n
         vals, errs = mittag_leffler_grid(z, MLParams(alpha=alpha))
-        phases = np.exp(-1j * np.outer(bs, xs))
-        return ((ws[:, None] * (phases * vals[:, None]).real).sum(axis=0),
-                float(np.max(errs)))
+        weighted, minus_ib = ws * vals, -1j * bs
+        out = np.empty(xs.size)
+        cols = max(1, _HEAD_CHUNK // bs.size)
+        for i in range(0, xs.size, cols):
+            phases = np.outer(minus_ib, xs[i:i + cols])
+            np.exp(phases, out=phases)
+            out[i:i + cols] = (weighted @ phases).real
+        return out, float(np.max(errs))
 
     v_fine, ml_fine = transform(edges)
     v_coarse, ml_coarse = transform(edges[::2])

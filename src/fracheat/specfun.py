@@ -333,9 +333,6 @@ def wright_w_grid(x: np.ndarray, params: WrightParams) -> np.ndarray:
 #: full cancellation (0.434 * 6.9 ~ 3 digits lost).
 _ML_F64_EXPONENT = 6.9
 
-#: |z|^{1/alpha} beyond which the asymptotic branch meets 1e-9 relative.
-_ML_ASY_EXPONENT = 25.0
-
 #: log of the term size past the peak at which the float64 Taylor sum stops
 _ML_LOG_TERM_FLOOR = math.log(1e-18)
 
@@ -408,13 +405,14 @@ def _ml_taylor_mp(z: complex, alpha: float, digits_lost: float) -> complex:
 
 
 def _ml_asymptotic(z: complex, alpha: float) -> tuple[complex, float]:
-    """Algebraic asymptotic branch, plus the exponential term
+    """Algebraic asymptotic expansion of E_alpha, plus the exponential term
     ``e^w / alpha`` (``w = z^{1/alpha}``) inside the sector
     ``|arg z| < alpha*pi``.  Returns ``(value, error_estimate)``.
 
-    Within 0.2 rad of ``arg z = +-alpha*pi`` the expansion switches the
-    exponential term on or off, so there the estimate is widened by that
-    term's modulus."""
+    No solve calls it, and its estimate does not bound its error (it reads
+    0 wherever ``alpha N`` is an integer): :func:`_ml_contour` serves every
+    ``|z|^(1/alpha) > 6.9``.  It stays only because ``bench/tracer.py``
+    probes it by name."""
     az = abs(z)
     # from the logarithm: for small alpha the power overflows a float
     root = math.exp(min(math.log(az) / alpha, 709.0))
@@ -546,27 +544,38 @@ def _ml_contour(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
     branch point at 0 and, when ``|arg z| < alpha pi``, the one pole
     ``s* = |z|^(1/alpha) e^{i arg z / alpha}``.  Where the cheaper contour
     passes between the two, the pole's residue ``e^{s*} / alpha`` is
-    added.  The error is the target the parameters are chosen for,
-    ``_ML_CONTOUR_TOL``, plus a rounding term: ``4 eps`` times the
-    moduli of the trapezoidal terms, and ``4 eps |s*| / alpha`` times the
-    residue: the rounding of ``z`` moves ``s* = z^(1/alpha)`` by
-    ``|s*| / alpha`` times as much, relatively, and ``e^{s*}`` with it.
+    added.  The pole and its residue are formed only where they are used,
+    so a point far out on a ray with no pole cannot overflow, and a
+    residue beyond the float range raises :class:`DomainError`.  The error
+    is the target the parameters are chosen for, ``_ML_CONTOUR_TOL``, plus
+    a rounding term: ``4 eps`` times the moduli of the trapezoidal terms,
+    and ``4 eps |s*| / alpha`` times the residue: the rounding of ``z``
+    moves ``s* = z^(1/alpha)`` by ``|s*| / alpha`` times as much,
+    relatively, and ``e^{s*}`` with it.
     """
     log_tol = math.log(_ML_CONTOUR_TOL)
     theta = np.angle(z)
-    pole = np.abs(z) ** (1.0 / alpha) * np.exp(1j * theta / alpha)
+    sector = np.abs(theta) < alpha * math.pi
+    pole = np.zeros(z.shape, dtype=complex)
+    with np.errstate(over="ignore"):  # past 1e300 it only picks the region
+        pole[sector] = (np.minimum(np.abs(z[sector]) ** (1.0 / alpha), 1e300)
+                        * np.exp(1j * theta[sector] / alpha))
     phi1 = 0.5 * (pole.real + np.abs(pole))
-    has_pole = (np.abs(theta) < alpha * math.pi) & (phi1 > 1e-15)
-    phi1 = np.where(has_pole, phi1, 1.0)
+    idx = np.nonzero(sector & (phi1 > 1e-15))[0]
 
-    mu, h, n = _ML_BRANCH_ONLY
-    mu_b, h_b, n_b = _ml_region_between(phi1, log_tol)
-    mu_u, h_u, n_u = _ml_region_past(phi1, log_tol)
+    mu, h, n = (np.full(z.shape, v) for v in _ML_BRANCH_ONLY)
+    mu_b, h_b, n_b = _ml_region_between(phi1[idx], log_tol)
+    mu_u, h_u, n_u = _ml_region_past(phi1[idx], log_tol)
     between = n_b <= n_u
-    mu = np.where(has_pole, np.where(between, mu_b, mu_u), mu)
-    h = np.where(has_pole, np.where(between, h_b, h_u), h)
-    n = np.where(has_pole, np.where(between, n_b, n_u), n)
-    residue = np.where(has_pole & between, np.exp(pole) / alpha, 0.0)
+    mu[idx] = np.where(between, mu_b, mu_u)
+    h[idx] = np.where(between, h_b, h_u)
+    n[idx] = np.where(between, n_b, n_u)
+    idx = idx[between]
+    if np.any(pole.real[idx] - math.log(alpha) > _LOG_FLOAT_MAX):
+        raise DomainError(f"E_alpha(z) at alpha = {alpha} has a residue "
+                          "beyond the float range")
+    residue = np.zeros(z.shape, dtype=complex)
+    residue[idx] = np.exp(pole[idx]) / alpha
 
     values = np.empty(z.shape, dtype=complex)
     sum_abs = np.empty(z.shape)
@@ -607,11 +616,9 @@ def mittag_leffler_grid(z: np.ndarray,
 
     Branches: exp for alpha = 1, the Faddeeva closed form for alpha = 1/2,
     float64 Taylor while cancellation loses < 3 digits
-    (``|z|^(1/alpha) <= 6.9``), the optimal parabolic contour in the band
-    up to ``|z|^(1/alpha) = 25`` (:func:`_ml_contour`, absolute error
-    about 1e-15), and the algebraic-plus-exponential asymptotic expansion
-    beyond, whose estimate is widened near the directions
-    ``arg z = +-alpha*pi``.  Every branch is float64.
+    (``|z|^(1/alpha) <= 6.9``), and the optimal parabolic contour
+    (:func:`_ml_contour`, absolute error about 1e-15 plus rounding)
+    everywhere beyond.  Every branch is float64.
     """
     alpha = params.alpha
     z = np.atleast_1d(np.asarray(z, dtype=complex))
@@ -628,11 +635,8 @@ def mittag_leffler_grid(z: np.ndarray,
         errors[:] = np.abs(values) * 1e-13
         return values, errors
 
-    az = np.abs(z)
-    with np.errstate(over="ignore"):  # inf sends the point to asymptotics
-        rootpow = az ** (1.0 / alpha)
-    taylor_ok = rootpow <= _ML_F64_EXPONENT
-    asy_ok = rootpow >= _ML_ASY_EXPONENT
+    with np.errstate(over="ignore"):  # inf sends the point to the contour
+        taylor_ok = np.abs(z) ** (1.0 / alpha) <= _ML_F64_EXPONENT
 
     idx_taylor = np.nonzero(taylor_ok)[0]
     if idx_taylor.size:
@@ -640,13 +644,10 @@ def mittag_leffler_grid(z: np.ndarray,
         errors[idx_taylor] = (np.abs(values[idx_taylor]) * 1e-12 + 1e-15
                               + rounding)
 
-    idx_asy = np.nonzero(asy_ok & ~taylor_ok)[0]
-    for i in idx_asy:
-        values[i], errors[i] = _ml_asymptotic(complex(z[i]), alpha)
-
-    idx_mid = np.nonzero(~taylor_ok & ~asy_ok)[0]
-    if idx_mid.size:
-        values[idx_mid], errors[idx_mid] = _ml_contour(z[idx_mid], alpha)
+    idx_contour = np.nonzero(~taylor_ok)[0]
+    if idx_contour.size:
+        values[idx_contour], errors[idx_contour] = _ml_contour(
+            z[idx_contour], alpha)
     return values, errors
 
 

@@ -689,7 +689,36 @@ def test_far_field_fourier_honest_zero():
     assert np.all(field.errors < 1e-8)
 
 
-@pytest.mark.parametrize("xb", [0.1, 1.0, 6.9, 7.1, 12.5, 47.3, 272.0,
+@pytest.mark.parametrize("x", [3000.0, 8000.0])
+def test_fourier_head_panel_cap_refuses(x):
+    """A head that needs more panels than the cap refuses with a typed
+    error, before any Mittag-Leffler evaluation, instead of returning a
+    value from an under-resolved head."""
+    req = SolutionRequest(EquationSpec(2), 0.6, 1.0, (-x, x),
+                          route="fourier_ml")
+    start = time.perf_counter()
+    with pytest.raises(ConvergenceError, match="panels"):
+        solve(req)
+    assert time.perf_counter() - start < 0.2
+
+
+def test_fourier_head_memory_stays_small():
+    """The head's (nodes x points) phases are formed in bounded chunks:
+    400 points out to |x| = 200 take some 6600 nodes each."""
+    req = SolutionRequest(EquationSpec(2), 0.6, 1.0,
+                          tuple(np.linspace(-200.0, 200.0, 400)),
+                          route="fourier_ml")
+    tracemalloc.start()
+    try:
+        field = solve(req)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+    assert np.all(np.isfinite(field.values))
+
+
+@pytest.mark.parametrize("xb",[0.1, 1.0, 6.9, 7.1, 12.5, 47.3, 272.0,
                                 2000.0])
 def test_tail_transforms_match_expint(xb):
     """C_r(x) = B^{1-r} E_r(i x B) for every r the tail uses, on both

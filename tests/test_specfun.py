@@ -8,6 +8,7 @@ or a classical closed form.
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,14 +30,26 @@ from fracheat.specfun import (
     wright_guard,
     wright_w_grid,
 )
+from oracles.mittag_leffler import ml_integral
 from oracles.timelaw import wright_log_decay
 
 SQRT_PI = math.sqrt(math.pi)
+
+#: |z|^(1/alpha) of the contour tests: past the float64 Taylor disc out to
+#: 250
+_CONTOUR_BAND = np.geomspace(specfun._ML_F64_EXPONENT, 250.0, 6)[1:]
 
 
 def _one(grid_fn, x: float, params) -> float:
     """The grid form of a special function at one point."""
     return float(grid_fn(np.array([float(x)]), params)[0])
+
+
+def _ml_reference_mp(z: complex, alpha: float) -> complex:
+    """E_alpha(z) by the extended-precision Taylor sum, with a digit for
+    each decade the terms cancel."""
+    return specfun._ml_taylor_mp(complex(z), alpha,
+                                 0.434 * abs(z) ** (1.0 / alpha))
 
 
 def _ml_one(z: complex, alpha: float) -> complex:
@@ -181,9 +194,8 @@ class TestMittagLeffler:
         [
             # Taylor tier, cross-checked against the spectral integral
             (0.4, -2.0, 0.273535299960679535),
-            # contour tier
+            # contour tier, at |z|^(1/alpha) = 23, 44 and 91
             (0.7, -9.0, 0.0405311972673506832),
-            # asymptotic tier
             (0.9, -30.0, 0.00371370769845985211),
             (0.6, -15.0, 0.0307594912564634804),
         ],
@@ -213,21 +225,36 @@ class TestMittagLeffler:
             assert grid_vals[i] == pytest.approx(v, rel=1e-12, abs=1e-300)
         assert np.all(grid_errs >= 0.0)
 
-    def test_error_bar_widens_near_sector_boundary(self):
-        """Near arg z = alpha pi the asymptotic expansion switches its
-        exponential term e^w / alpha (w = z^(1/alpha)) on or off, so the
-        bar there is widened by that term.  The rest of the bar depends
-        on |z| only, so against a point of the same modulus outside the
-        0.2 rad band the widening is exactly the term's modulus."""
-        alpha = 0.7
+    @pytest.mark.parametrize("alpha", [0.3, 0.62, 0.9])
+    def test_bars_hold_near_sector_boundary(self, alpha):
+        """Across ``arg z = +-alpha pi`` the pole ``z^(1/alpha)`` enters
+        or leaves the principal sheet next to the branch cut, where the
+        contour passes close to it.  Within 0.05 rad of that direction, on
+        both sides of it, the bars bound the distance to the
+        extended-precision sum."""
         p = MLParams(alpha=alpha)
-        near = 12.0 * np.exp(1j * (alpha * math.pi - 0.05))
-        away = 12.0 * np.exp(1j * (alpha * math.pi - 0.5))
-        _, errs = mittag_leffler_grid(np.array([near, away]), p)
-        w = abs(near) ** (1.0 / alpha) * np.exp(1j * np.angle(near) / alpha)
-        switched = abs(np.exp(w)) / alpha
-        assert errs[0] >= switched
-        assert errs[0] - errs[1] == pytest.approx(switched, rel=1e-9)
+        for sign in (1.0, -1.0):
+            for offset in (-0.05, -0.002, 0.002, 0.05):
+                theta = sign * (alpha * math.pi + offset)
+                zs = np.array([12.0, 40.0]) ** alpha * np.exp(1j * theta)
+                vals, errs = mittag_leffler_grid(zs, p)
+                for z, v, e in zip(zs, vals, errs):
+                    assert abs(v - _ml_reference_mp(z, alpha)) <= e
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.4, 0.45, 0.55, 0.6, 0.7, 0.75,
+                                       0.8, 0.9, 0.99])
+    def test_bars_hold_where_asymptotics_failed(self, alpha):
+        """The rays -1 and +i at ``|z|^(1/alpha)`` from 25.5 to 40: the
+        asymptotic expansion that once served this range reported bars
+        that missed its error by up to 6e34, and bars of exactly 0 where
+        ``alpha N`` is an integer (0.55, 0.8)."""
+        p = MLParams(alpha=alpha)
+        radii = np.array([25.5, 28.0, 32.0, 40.0]) ** alpha
+        for ray in (-1.0, 1j):
+            zs = ray * radii
+            vals, errs = mittag_leffler_grid(zs, p)
+            for z, v, e in zip(zs, vals, errs):
+                assert abs(v - _ml_reference_mp(z, alpha)) <= e
 
     @pytest.mark.parametrize("alpha", [0.4, 0.6, 0.8])
     def test_completely_monotone_on_negative_axis(self, alpha):
@@ -250,30 +277,25 @@ class TestMittagLeffler:
             zs = ray * radii
             vals, errs = mittag_leffler_grid(zs, p)
             for z, v, e in zip(zs, vals, errs):
-                ref = specfun._ml_taylor_mp(complex(z), alpha,
-                                            0.434 * abs(z) ** (1.0 / alpha))
-                assert abs(v - ref) <= e
+                assert abs(v - _ml_reference_mp(z, alpha)) <= e
 
     @pytest.mark.parametrize("alpha", [0.1, 0.25, 0.38, 0.52, 0.55, 0.62,
                                        0.65, 0.7, 0.8, 0.9, 0.95])
     def test_contour_tier_within_its_bars(self, alpha):
-        """Between the float64 Taylor and the asymptotic tiers the value
-        comes from the optimal parabolic contour.  On the solver's rays
-        -1 and +-i its reported error bounds the distance to the
-        extended-precision sum.  For +-i and alpha > 1/2 the pole at angle
-        pi / (2 alpha) lies on the principal sheet: at 0.52 the contour
-        passes right of it, from 0.62 on between it and the branch point,
-        adding its residue, and at 0.55 both choices occur along the ray."""
+        """Past the float64 Taylor disc the value comes from the optimal
+        parabolic contour.  On the solver's rays -1 and +-i, out to
+        ``|z|^(1/alpha) = 250``, its reported error bounds the distance to
+        the integral representation.  For +-i and alpha > 1/2 the pole at
+        angle pi / (2 alpha) lies on the principal sheet: at 0.52 the
+        contour passes right of it out to ``|z|^(1/alpha) = 60`` and
+        between it and the branch point beyond, adding its residue; from
+        0.55 on it passes between them all along the band."""
         p = MLParams(alpha=alpha)
-        radii = np.geomspace(specfun._ML_F64_EXPONENT,
-                             specfun._ML_ASY_EXPONENT, 8)[1:-1] ** alpha
         for ray in (-1.0, 1j, -1j):
-            zs = ray * radii
+            zs = ray * _CONTOUR_BAND ** alpha
             vals, errs = mittag_leffler_grid(zs, p)
             for z, v, e in zip(zs, vals, errs):
-                ref = specfun._ml_taylor_mp(complex(z), alpha,
-                                            0.434 * abs(z) ** (1.0 / alpha))
-                assert abs(v - ref) <= e
+                assert abs(v - ml_integral(z, alpha)) <= e
                 # absolute, as the Fourier route charges it: ml_err * B
                 assert e <= 1e-14
 
@@ -284,24 +306,20 @@ class TestMittagLeffler:
         residue grows like ``e^{|z|^(1/alpha)}`` and the bar with it."""
         rng = np.random.default_rng(seed)
         for alpha in rng.uniform(0.05, 0.98, 6):
-            root = rng.uniform(specfun._ML_F64_EXPONENT,
-                               specfun._ML_ASY_EXPONENT, 4)
+            root = rng.uniform(specfun._ML_F64_EXPONENT, _CONTOUR_BAND[-1], 4)
             theta = np.concatenate([rng.uniform(-math.pi, math.pi, 3),
                                     [alpha * math.pi * (1.0 - 1e-3)]])
             zs = root ** alpha * np.exp(1j * theta)
             vals, errs = mittag_leffler_grid(zs, MLParams(alpha=alpha))
             for z, v, e in zip(zs, vals, errs):
-                ref = specfun._ml_taylor_mp(complex(z), alpha,
-                                            0.434 * abs(z) ** (1.0 / alpha))
-                assert abs(v - ref) <= e
+                assert abs(v - ml_integral(z, alpha)) <= e
 
     def test_contour_grid_matches_pointwise(self):
         """Points of different node counts share the chunks of one grid
         call; each is summed over its own nodes only."""
         rng = np.random.default_rng(7)
         alpha = 0.8
-        root = rng.uniform(specfun._ML_F64_EXPONENT,
-                           specfun._ML_ASY_EXPONENT, 300)
+        root = rng.uniform(specfun._ML_F64_EXPONENT, _CONTOUR_BAND[-1], 300)
         zs = root ** alpha * np.exp(1j * rng.uniform(-math.pi, math.pi, 300))
         p = MLParams(alpha=alpha)
         grid_vals, grid_errs = mittag_leffler_grid(zs, p)
@@ -309,6 +327,42 @@ class TestMittagLeffler:
             one_v, one_e = mittag_leffler_grid(np.array([z]), p)
             assert v == pytest.approx(one_v[0], rel=1e-13, abs=1e-15)
             assert e == pytest.approx(one_e[0], rel=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.005, 0.05, 0.3, 0.55, 0.99])
+    def test_contour_far_out_without_overflow(self, alpha):
+        """Out to ``|z|^(1/alpha) = 1e4`` (at alpha = 0.005 that power
+        overflows a float) the contour forms no pole where there is none
+        and no residue it does not add, so no floating-point warning is
+        raised, and the bars still hold at the far end."""
+        p = MLParams(alpha=alpha)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ray in (-1.0, 1j, -1j):
+                zs = ray * np.geomspace(10.0, 1e4, 7) ** alpha
+                vals, errs = mittag_leffler_grid(zs, p)
+                assert np.all(np.isfinite(vals))
+                assert np.all(np.isfinite(errs))
+                assert abs(vals[-1] - ml_integral(zs[-1], alpha)) <= errs[-1]
+
+    def test_residue_beyond_float_range_refuses(self):
+        """Where the residue ``e^{z^(1/alpha)} / alpha`` leaves the float
+        range the value does too: a typed refusal, not inf or nan."""
+        with pytest.raises(DomainError, match="float range"):
+            mittag_leffler_grid(np.array([800.0 ** 0.7, -1.0]),
+                                MLParams(alpha=0.7))
+
+    def test_integral_oracle_matches_taylor_sum(self):
+        """The integral representation the contour tests use agrees with
+        the extended-precision Taylor sum, on both sides of the sector
+        edge and close to it."""
+        for alpha in (0.2, 0.65, 0.93):
+            for theta in (0.0, 0.5 * math.pi, math.pi,
+                          alpha * math.pi * (1.0 - 1e-3),
+                          alpha * math.pi * (1.0 + 1e-3)):
+                z = 20.0 ** alpha * np.exp(1j * theta)
+                ref = _ml_reference_mp(z, alpha)
+                assert abs(ml_integral(z, alpha) - ref) <= 1e-17 * max(
+                    1.0, abs(ref))
 
 
 class TestStableOneSided:
