@@ -236,9 +236,10 @@ def _superexp_cutoff(n: int, t: float, r: int, tail_tol: float) -> float:
     return x
 
 
-def _phase_point(n: int, t: float, phase: float) -> float:
+def _phase_point(n: int, t: float, phase):
     """|x| at which the stationary-phase angle of the oscillatory side
-    reaches ``phase``: phi(x) = (1-1/n) x^{n/(n-1)} (nt)^{-1/(n-1)}."""
+    reaches ``phase`` (a float or an array):
+    phi(x) = (1-1/n) x^{n/(n-1)} (nt)^{-1/(n-1)}."""
     return (phase * n / (n - 1.0)) ** ((n - 1.0) / n) * (n * t) ** (1.0 / n)
 
 
@@ -303,8 +304,8 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
         gamma = spec.k * (-1) ** ((n - 1) // 2)
         osc_dir = -float(gamma)     # sign of x on the oscillatory side
         phase0 = 6.0 * math.pi
-        bounds = np.array([_phase_point(n, t, phase0 + j * math.pi)
-                           for j in range(_MOMENT_BLOCKS + 1)])
+        bounds = _phase_point(
+            n, t, phase0 + math.pi * np.arange(_MOMENT_BLOCKS + 1.0))
         reach, tails = float(bounds[-1]), 1
     log_noise = math.log(_KERNEL_NOISE)
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -182,35 +183,40 @@ def integrate_adaptive(f, a: float, b: float, tol: float = DEFAULT_TOL, *,
     return QuadResult(value=value, error_estimate=err, evaluations=evals)
 
 
-def euler_tail_sum(blocks) -> tuple[float, float]:
-    """Sum a sequence of signed block integrals whose signs eventually
-    alternate, by iterated averaging of the partial sums.
+def euler_tail_sum(blocks):
+    """Sum sequences of signed block integrals (along the last axis) whose
+    signs eventually alternate, by iterated averaging of the partial sums.
 
     This converges for oscillatory tails whose lobes decay slowly or even
     grow polynomially (the averaging triangle annihilates polynomial
     growth order by order, then contracts geometrically on the smooth
-    remainder).  Returns ``(sum, error_estimate)``.
+    remainder).  Returns ``(sum, error_estimate)``, each shaped like
+    ``blocks`` without its last axis.
     """
     blocks = np.asarray(blocks, dtype=float)
-    if blocks.size < 4:
+    if blocks.ndim == 0 or blocks.shape[-1] < 4:
         raise DomainError("tail summation needs at least 4 blocks")
-    row = np.cumsum(blocks)
-    diagonal = [row[-1]]
-    while row.size > 1:
-        row = 0.5 * (row[:-1] + row[1:])
-        diagonal.append(row[-1])
-    tail = np.array(diagonal[-4:])
-    err = float(np.max(np.abs(np.diff(tail))))
-    return float(diagonal[-1]), err
+    row = np.cumsum(blocks, axis=-1)
+    diagonal = [row[..., -1]]
+    while row.shape[-1] > 1:
+        row = 0.5 * (row[..., :-1] + row[..., 1:])
+        diagonal.append(row[..., -1])
+    tail = np.stack(diagonal[-4:], axis=-1)
+    return diagonal[-1], np.max(np.abs(np.diff(tail, axis=-1)), axis=-1)
+
+
+@lru_cache(maxsize=64)
+def _jacobi_reference(n: int, exponent: float, endpoint: str):
+    """Gauss-Jacobi nodes and weights on [-1, 1], built once per rule."""
+    if endpoint == "right":
+        return roots_jacobi(n, exponent, 0.0)
+    return roots_jacobi(n, 0.0, exponent)
 
 
 def _jacobi_rule(n: int, exponent: float, endpoint: str, a: float, b: float):
     """Nodes and weights integrating ``f(x) * weight(x)`` exactly for
     polynomial ``f`` up to degree ``2n - 1``, weight as in JacobiWeight."""
-    if endpoint == "right":
-        nodes, weights = roots_jacobi(n, exponent, 0.0)
-    else:
-        nodes, weights = roots_jacobi(n, 0.0, exponent)
+    nodes, weights = _jacobi_reference(n, exponent, endpoint)
     half = 0.5 * (b - a)
     xs = 0.5 * (a + b) + half * nodes
     ws = weights * half ** (1.0 + exponent)
@@ -254,25 +260,19 @@ def integrate_jacobi_singular(f, a: float, b: float, weight: JacobiWeight,
         )
 
     mid = 0.5 * (a + b)
-    if weight.endpoint == "left":
-        smooth_lo, smooth_hi = mid, b
-        sing_lo, sing_hi = a, mid
+    left = weight.endpoint == "left"
+    end = a if left else b
+    smooth = (mid, b) if left else (a, mid)
+    singular = (a, mid) if left else (mid, b)
 
-        def plain(x):
-            x = np.asarray(x)
-            return np.asarray(f(x)) * (x - a) ** weight.exponent
-    else:
-        smooth_lo, smooth_hi = a, mid
-        sing_lo, sing_hi = mid, b
-
-        def plain(x):
-            x = np.asarray(x)
-            return np.asarray(f(x)) * (b - x) ** weight.exponent
+    def plain(x):
+        x = np.asarray(x)
+        return np.asarray(f(x)) * np.abs(x - end) ** weight.exponent
 
     smooth_val, smooth_err, smooth_evals = _adaptive(
-        plain, smooth_lo, smooth_hi, 0.5 * tol, budget - evals)
+        plain, *smooth, 0.5 * tol, budget - evals)
     sing = integrate_jacobi_singular(
-        f, sing_lo, sing_hi, weight,
+        f, *singular, weight,
         0.5 * tol, budget=budget - evals - smooth_evals, _depth=_depth + 1)
     # The recursive singular piece carries the weight relative to its own
     # endpoint, which coincides with the original singular endpoint, so the
@@ -335,21 +335,13 @@ def _odd_kernel_values(n: int, k: int, x, t: float, tol: float,
         zc = np.asarray(z, dtype=complex)
         return np.exp(1j * np.outer(zc, x) + k * t * (1j * zc[:, None]) ** n)
 
-    budget_left = [EVAL_BUDGET]
     part_tol = tol * math.pi / 3.0
-
-    def spend(val_err_evals):
-        val, err, evals = val_err_evals
-        budget_left[0] -= evals
-        return val, err, evals
-
     # Head: real axis from 0 to R; seed the panel heap with roughly one
     # panel per oscillation cycle so the first error estimate is honest.
     cycles = (xmax * radius + t * radius ** n) / (2.0 * math.pi)
     head_panels = min(512, max(4, int(cycles) + 1))
-    head, head_err, head_evals = spend(_adaptive(
-        lambda z: g(z), 0.0, radius, part_tol, budget_left[0],
-        initial_intervals=head_panels))
+    head, head_err, head_evals = _adaptive(
+        g, 0.0, radius, part_tol, EVAL_BUDGET, initial_intervals=head_panels)
 
     # Arc: z = R e^{i psi}, psi from 0 to phi; dz = i R e^{i psi} d psi.
     def arc_integrand(psi):
@@ -357,8 +349,8 @@ def _odd_kernel_values(n: int, k: int, x, t: float, tol: float,
         return g(zpts) * (1j * zpts)[:, None]
 
     lo_psi, hi_psi = (0.0, phi) if phi > 0 else (phi, 0.0)
-    arc, arc_err, arc_evals = spend(_adaptive(
-        arc_integrand, lo_psi, hi_psi, part_tol, budget_left[0]))
+    arc, arc_err, arc_evals = _adaptive(
+        arc_integrand, lo_psi, hi_psi, part_tol, EVAL_BUDGET - head_evals)
     if phi < 0:
         arc = -arc
 
@@ -381,9 +373,9 @@ def _odd_kernel_values(n: int, k: int, x, t: float, tol: float,
         zpts = np.asarray(r) * eiphi
         return g(zpts) * eiphi
 
-    ray, ray_err, ray_evals = spend(_adaptive(
-        ray_integrand, radius, r_far, part_tol, budget_left[0],
-        initial_intervals=8))
+    ray, ray_err, ray_evals = _adaptive(
+        ray_integrand, radius, r_far, part_tol,
+        EVAL_BUDGET - head_evals - arc_evals, initial_intervals=8)
 
     total = (head + arc + ray) / math.pi
     err = (head_err + arc_err + ray_err) / math.pi

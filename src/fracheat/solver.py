@@ -98,12 +98,16 @@ _GL_OSC = leggauss(_OSC_NODES)
 _GL_V = leggauss(_V_NODES)
 _GL16 = leggauss(16)
 
+
 #: zero the kernel profile on decaying sides once the saddle bound
 #: guarantees |phi| <= e^-70
 _DECAY_CLIP_LOG = 70.0
 
 #: negative-power terms kept in the analytic Fourier tail
 _FOURIER_TAIL_TERMS = 6
+
+#: the Fourier tail starts where the pole component is below e^-_POLE_LOG
+_POLE_LOG = 21.0
 
 #: Fourier head: panel cap per request, and elements of one (nodes x
 #: points) phase chunk (1 MB)
@@ -177,6 +181,16 @@ class SolutionField:
 # ---------------------------------------------------------------------------
 # Shared evaluators for the subordination integral
 # ---------------------------------------------------------------------------
+
+def _gl_panels(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of a Gauss-Legendre ``rule`` on every panel
+    between consecutive ``edges``, panel by panel."""
+    half, ref = rule
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    rad = 0.5 * (edges[1:] - edges[:-1])
+    return ((mid[:, None] + rad[:, None] * half).ravel(),
+            (rad[:, None] * ref).ravel())
+
 
 class _Chebyshev:
     """Piecewise Chebyshev interpolant of ``f`` on the panels between
@@ -267,10 +281,10 @@ class _KernelProfile(_Chebyshev):
     covers every argument the subordination integral evaluates: a decaying
     side out to ``clip_abs``, where the saddle bound puts it below
     ``e^-70``, and the oscillatory side of odd ``n`` (sign ``osc_dir``, 0
-    for even ``n``) out to the last phase-block edge of its
-    :class:`_OscillatoryTail`; beyond those points it is zero.  The
-    contour runs in chunks sorted by ``|y|``, because each call sizes its
-    contour for its largest point.
+    for even ``n``) out to the last of the ``osc_edges`` that
+    :meth:`head` sums over; beyond those points it is zero.  The contour
+    runs in chunks sorted by ``|y|``, because each call sizes its contour
+    for its largest point.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -280,12 +294,12 @@ class _KernelProfile(_Chebyshev):
         self.osc_dir = (n % 2) * -self.spec.k * (-1) ** ((n - 1) // 2)
         lo, hi = -self.clip_abs, self.clip_abs
         if self.osc_dir:
-            phases = _OSC_PHASE0 + math.pi * np.arange(_OSC_BLOCKS + 1)
-            osc_edges = np.array([_phase_point(n, 1.0, p) for p in phases])
+            self.osc_edges = _phase_point(
+                n, 1.0, _OSC_PHASE0 + math.pi * np.arange(_OSC_BLOCKS + 1))
             if self.osc_dir > 0:
-                hi = float(osc_edges[-1])
+                hi = float(self.osc_edges[-1])
             else:
-                lo = -float(osc_edges[-1])
+                lo = -float(self.osc_edges[-1])
 
         def side(end):
             # a panel ends where either its width or its stationary-phase
@@ -301,8 +315,11 @@ class _KernelProfile(_Chebyshev):
         super().__init__(self._contour, edges, _KERNEL_NODES,
                          _KERNEL_MAX_NODES, _KERNEL_FIT_TOL,
                          f"kernel profile of n={n}, k={k}")
-        self.osc = (_OscillatoryTail(self, osc_edges) if self.osc_dir
-                    else None)
+        if self.osc_dir:
+            # the phase blocks' nodes, with the profile taken on them once
+            self._osc_nodes, self._osc_weights = _gl_panels(self.osc_edges,
+                                                            _GL_OSC)
+            self._osc_vals = self(self.osc_dir * self._osc_nodes)
 
     def _contour(self, ys: np.ndarray) -> np.ndarray:
         out = np.empty_like(ys)
@@ -311,6 +328,33 @@ class _KernelProfile(_Chebyshev):
             out[chunk], _, _ = kernel_density_grid(self.spec, ys[chunk], 1.0,
                                                    _KERNEL_TOL)
         return out
+
+    def head(self, ys: np.ndarray, weight, j0: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray]:
+        """``int p_n(y, u) weight(u) du`` over ``(0, (|y| / osc_edges[j0])^n]``
+        at every oscillatory-side ``y``: in ``z = |y| u^{-1/n}``,
+        ``n |y|^{n-1} int z^{-n} phi(s z) weight((|y|/z)^n) dz`` over the
+        phase blocks from ``j0`` on (edges at stationary-phase angles
+        ``6 pi, 7 pi, ...``), summed per point by :func:`euler_tail_sum`,
+        one call per ``j0``.  Past the last edge it is only bounded, by the
+        last block (the lobes keep shrinking, so it bounds the rest)."""
+        n = self.spec.n
+        ax = np.abs(ys)[:, None]
+        blocks = np.empty((ax.size, _OSC_BLOCKS))
+        rows = max(1, _V_CHUNK // self._osc_nodes.size)
+        for c in range(0, ax.size, rows):
+            a = ax[c:c + rows]
+            wv = weight(((a / self._osc_nodes) ** n).ravel())
+            contrib = (n * a ** (n - 1) * self._osc_weights
+                       * self._osc_nodes ** float(-n) * self._osc_vals
+                       * wv.reshape(a.size, -1))
+            blocks[c:c + rows] = contrib.reshape(
+                a.size, _OSC_BLOCKS, _OSC_NODES).sum(axis=2)
+        values, errors = np.zeros(ax.size), np.abs(blocks[:, -1])
+        for j in np.unique(j0[j0 < _OSC_BLOCKS]):
+            at = j0 == j
+            values[at], errors[at] = euler_tail_sum(blocks[at, j:])
+        return values, errors
 
 
 @lru_cache(maxsize=32)
@@ -354,49 +398,9 @@ def _survival_probability(alpha: float, u0: float) -> float:
     so the survival function needs no density values beyond the guard.
     """
     law = StableOneSided(alpha=alpha, u=u0)
-
-    def f(ws):
-        return stable_one_sided_density_grid(np.asarray(ws, dtype=float), law)
-
-    return float(integrate_adaptive(f, 0.0, 1.0, 1e-10).value)
-
-
-class _OscillatoryTail:
-    """Shared phase-pi blocks for the oscillatory-side head of odd n.
-
-    In the similarity variable ``y = |x| u^{-1/n}`` the head
-    ``int_0^{u0} p_n(x, u) w(u) du`` becomes
-    ``n |x|^{n-1} int_{y0}^inf y^{-n} phi(s y) w((|x|/y)^n) dy`` with
-    ``s`` the oscillatory side sign.  Block edges sit at stationary-phase
-    angles ``6 pi, 7 pi, ...``; the profile values on the block nodes are
-    taken once per kernel profile and the alternating block sums are
-    accelerated by iterated averaging.
-    """
-
-    def __init__(self, kernel: _KernelProfile, edges: np.ndarray) -> None:
-        self.kernel = kernel
-        self.edges = edges
-        half, ref = _GL_OSC
-        mid = 0.5 * (self.edges[1:] + self.edges[:-1])
-        rad = 0.5 * (self.edges[1:] - self.edges[:-1])
-        self.nodes = (mid[:, None] + rad[:, None] * half[None, :]).ravel()
-        self.node_weights = (rad[:, None] * ref[None, :]).ravel()
-        self.profile_vals = kernel(float(kernel.osc_dir) * self.nodes)
-
-    def head(self, x: float, weight, j0: int) -> tuple[float, float]:
-        """Integral of ``p_n(x, u) weight(u)`` over
-        ``(0, (|x| / edges[j0])^n]``: the phase blocks from ``j0`` on.
-        Past the last edge it is only bounded, by the last block (the lobes
-        keep shrinking, so the first omitted one bounds the rest)."""
-        n = self.kernel.spec.n
-        ax = abs(x)
-        wv = weight((ax / self.nodes) ** n)
-        contrib = (n * ax ** (n - 1) * self.node_weights
-                   * self.nodes ** float(-n) * self.profile_vals * wv)
-        blocks = contrib.reshape(_OSC_BLOCKS, _OSC_NODES).sum(axis=1)
-        if j0 == _OSC_BLOCKS:
-            return 0.0, abs(float(blocks[-1]))
-        return euler_tail_sum(blocks[j0:])
+    res = integrate_adaptive(lambda ws: stable_one_sided_density_grid(ws, law),
+                             0.0, 1.0, 1e-10)
+    return float(res.value)
 
 
 def _v_integral(kernel: _KernelProfile, ys: np.ndarray, v_lo: np.ndarray,
@@ -492,7 +496,7 @@ def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
     one row of :func:`_v_integral`, from where ``phi(y / v)`` starts: the
     saddle bound ``clip_abs`` on a decaying side; on the oscillatory side
     of odd ``n`` a phase-block edge, below which the ``u -> 0`` end is
-    folded into the blocks of :meth:`_OscillatoryTail.head`.
+    folded into the blocks of :meth:`_KernelProfile.head`.
     """
     n = kernel.spec.n
     values, errors = np.zeros(ys.size), np.zeros(ys.size)
@@ -511,18 +515,18 @@ def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
     if np.any(osc):
         # the phase blocks take over at the first edge past |y| / v_hi, or
         # at the last edge where fewer than five blocks would remain
-        j0 = np.searchsorted(kernel.osc.edges, np.abs(ys) / v_hi)
+        j0 = np.searchsorted(kernel.osc_edges, np.abs(ys) / v_hi)
         j0[j0 > _OSC_BLOCKS - 5] = _OSC_BLOCKS
-        v_lo[osc] = np.abs(ys[osc]) / kernel.osc.edges[j0[osc]]
+        v_lo[osc] = np.abs(ys[osc]) / kernel.osc_edges[j0[osc]]
     body = (ys != 0.0) & (v_lo < v_hi)
     if np.any(body):
         values[body], errors[body] = _v_integral(
             kernel, ys[body], v_lo[body], v_hi, weight,
             np.where(osc, 0.5, 1.0)[body] * tol)
-    for i in np.flatnonzero(osc):
-        hv, he = kernel.osc.head(float(ys[i]), weight, int(j0[i]))
-        values[i] += hv
-        errors[i] += he
+    if np.any(osc):
+        head_vals, head_errs = kernel.head(ys[osc], weight, j0[osc])
+        values[osc] += head_vals
+        errors[osc] += head_errs
     return values, errors
 
 
@@ -555,17 +559,25 @@ def _subordinate(spec: EquationSpec, alpha: float, ys: np.ndarray,
 # Route 2: Fourier inversion through the Mittag-Leffler function
 # ---------------------------------------------------------------------------
 
+def _fourier_pole(alpha: float, n: int) -> tuple[float, float] | None:
+    """``(decay, turn)`` of the pole component ``e^{s*} / alpha`` of
+    ``E_alpha(A b^n)``, ``s* = b^(n/alpha) (-decay +- i turn)``, where it
+    exists: odd ``n`` (``A`` imaginary) with ``1/2 < alpha < 1``."""
+    if n % 2 and 0.5 < alpha < 1.0:
+        angle = math.pi / (2.0 * alpha)
+        return abs(math.cos(angle)), abs(math.sin(angle))
+    return None
+
+
 def _fourier_cutoff(alpha: float, n: int) -> float:
     """Head/tail split point B for the transform integral at ``t = 1``.
 
     Chosen so that on the tail (i) the Mittag-Leffler argument is deep in
-    its negative-power regime and (ii) for odd ``n`` with ``alpha > 1/2``
-    the exponential component of the expansion is below ``e^-21``.
+    its negative-power regime and (ii) the pole component of
+    :func:`_fourier_pole`, where there is one, is below ``e^-_POLE_LOG``.
     """
-    z_min = 40.0
-    if n % 2 and 0.5 < alpha < 1.0:
-        cosfac = abs(math.cos(math.pi / (2.0 * alpha)))
-        z_min = max(z_min, (21.0 / cosfac) ** alpha)
+    pole = _fourier_pole(alpha, n)
+    z_min = max(40.0, (_POLE_LOG / pole[0]) ** alpha) if pole else 40.0
     return z_min ** (1.0 / n)
 
 
@@ -635,11 +647,11 @@ def _fourier_algebraic_tail(xs: np.ndarray, A: complex, alpha: float,
     mm = terms + 1
     rem = (abs(float(rgamma(1.0 - alpha * mm)))
            * B ** (1 - n * mm) / (n * mm - 1))
-    if n % 2 and 0.5 < alpha < 1.0:
-        # exponential component of the expansion, kept below e^-21 by the
-        # cutoff choice; bound its tail integral by its value at B over
-        # the local decay rate
-        rem += math.exp(-21.0) / alpha * B / (21.0 * n / alpha)
+    if _fourier_pole(alpha, n):
+        # the pole component, kept below e^-_POLE_LOG by the cutoff choice;
+        # bound its tail integral by its value at B over the local decay
+        # rate
+        rem += math.exp(-_POLE_LOG) / alpha * B / (_POLE_LOG * n / alpha)
     return out, 4.0 * rem
 
 
@@ -654,20 +666,18 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
     A fixed node set (rather than adaptive bisection) keeps the number of
     Mittag-Leffler evaluations predictable, and hands all of them to one
     vectorised call: every node's argument lies on the ray of ``A``.  The
-    phase model charges ``|x| b`` everywhere, plus the phase of the
-    exponential component of the Mittag-Leffler expansion where that
-    component exists (odd ``n``, ``alpha > 1/2``) and is still above its
-    ``e^-21`` floor.
+    phase model charges ``|x| b`` everywhere, plus the phase of the pole
+    component (:func:`_fourier_pole`) up to where it falls to
+    ``e^-_POLE_LOG``.
     """
     xmax = float(np.max(np.abs(xs)))
     betas = np.linspace(0.0, B, 4097)
     phase = xmax * betas
-    if n % 2 and 0.5 < alpha < 1.0:
-        cosfac = abs(math.cos(math.pi / (2.0 * alpha)))
-        sinfac = abs(math.sin(math.pi / (2.0 * alpha)))
-        b_osc = min((21.0 / cosfac) ** (alpha / n), B)
-        capped = np.minimum(betas, b_osc)
-        phase = phase + sinfac * capped ** (n / alpha)
+    pole = _fourier_pole(alpha, n)
+    if pole:
+        decay, turn = pole
+        b_osc = (_POLE_LOG / decay) ** (alpha / n)
+        phase = phase + turn * np.minimum(betas, b_osc) ** (n / alpha)
     # tiny ramp keeps the phase strictly increasing for the inversion
     phase = phase + (1e-9 / B) * betas
     npanels = math.ceil(phase[-1] / math.pi) + 8
@@ -680,11 +690,7 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
     edges[0], edges[-1] = 0.0, B
 
     def transform(es: np.ndarray) -> tuple[np.ndarray, float]:
-        half, ref = _GL16
-        mid = 0.5 * (es[1:] + es[:-1])
-        rad = 0.5 * (es[1:] - es[:-1])
-        bs = (mid[:, None] + rad[:, None] * half[None, :]).ravel()
-        ws = (rad[:, None] * ref[None, :]).ravel()
+        bs, ws = _gl_panels(es, _GL16)
         z = A * bs.astype(complex) ** n
         vals, errs = mittag_leffler_grid(z, MLParams(alpha=alpha))
         weighted, minus_ib = ws * vals, -1j * bs

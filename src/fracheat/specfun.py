@@ -149,14 +149,56 @@ def _neumaier_step(s: np.ndarray, c: np.ndarray, term: np.ndarray):
     return t, c
 
 
+def _series_condition(total: np.ndarray, max_term: np.ndarray,
+                      live_term: np.ndarray) -> np.ndarray:
+    """``max|term| / |sum|`` of a summed series, inf where its closing
+    terms (``live_term``, the largest over a closing window) have not
+    decayed to 1e-14 of the sum or the sum is not finite."""
+    cond = max_term / np.maximum(np.abs(total), 1e-300)
+    stalled = live_term > 1e-14 * (np.abs(total) + 1e-300)
+    cond = np.where(stalled & np.isfinite(cond), np.inf, cond)
+    return np.where(np.isfinite(total), cond, np.inf)
+
+
+def _tiered_series(x: np.ndarray, pred: np.ndarray, series_f64, series_mp,
+                   refusal) -> np.ndarray:
+    """A cancelling series at every ``x``, routed by the digits ``pred``
+    it is predicted to lose: compensated float64 up to 3.5 (an entry whose
+    measured condition exceeds ``_COND_FLOAT`` escalates too, since the
+    prediction is asymptotic), extended precision up to 12, and beyond
+    that a :class:`SeriesRangeError` with message ``refusal(x, digits)``
+    instead of noise."""
+    if pred.size and np.max(pred) > 12.0:
+        i = int(np.argmax(pred))
+        raise SeriesRangeError(refusal(x[i], pred[i]))
+    values = np.empty_like(x)
+    f64 = pred <= 3.5
+    need_mp = ~f64
+    if np.any(f64):
+        values[f64], cond = series_f64(x[f64])
+        need_mp[f64] = cond > _COND_FLOAT
+    for i in np.flatnonzero(need_mp):
+        values[i] = series_mp(float(x[i]), max(float(pred[i]), 4.0))
+    return values
+
+
+def _chunks(width: np.ndarray, size: int):
+    """Index arrays over the points, widest first, each a block of at most
+    ``size`` elements (points x its first width) or of one point."""
+    order = np.argsort(-width)
+    start = 0
+    while start < order.size:
+        rows = max(1, size // int(width[order[start]]))
+        yield order[start:start + rows]
+        start += rows
+
+
 # ---------------------------------------------------------------------------
 # Wright function
 # ---------------------------------------------------------------------------
 
-def _wright_peak_index(x_abs: float, a: float) -> float:
+def _wright_peak_index(x_abs, a: float):
     """Index near which |x|^k / (k! |Gamma(eta k + beta)|) peaks, a = -eta."""
-    if x_abs <= 0.0:
-        return 0.0
     return (x_abs * a ** a) ** (1.0 / (1.0 - a))
 
 
@@ -212,11 +254,7 @@ def _wright_series_f64(x: np.ndarray, eta: float, beta: float):
             else:
                 quiet = 0
     total = s + c
-    cond = max_term / np.maximum(np.abs(total), 1e-300)
-    stalled = window.max(axis=0) > 1e-14 * (np.abs(total) + 1e-300)
-    cond = np.where(stalled & np.isfinite(cond), np.inf, cond)
-    cond = np.where(np.isfinite(total), cond, np.inf)
-    return total, cond
+    return total, _series_condition(total, max_term, window.max(axis=0))
 
 
 def _wright_mp(x: float, eta: float, beta: float, digits_lost: float) -> float:
@@ -278,9 +316,8 @@ def _wright_predicted_digits(x_abs: np.ndarray, eta: float) -> np.ndarray:
     prediction stays finite where a naive measured condition would first
     overflow, which is what makes it usable as the tier router.
     """
-    a = -eta
-    k_pk = (a ** a * np.asarray(x_abs, dtype=float)) ** (1.0 / (1.0 - a))
-    return 2.0 * (1.0 - a) * k_pk / math.log(10.0)
+    k_pk = _wright_peak_index(np.asarray(x_abs, dtype=float), -eta)
+    return 2.0 * (1.0 + eta) * k_pk / math.log(10.0)
 
 
 def wright_w_grid(x: np.ndarray, params: WrightParams) -> np.ndarray:
@@ -294,35 +331,15 @@ def wright_w_grid(x: np.ndarray, params: WrightParams) -> np.ndarray:
     instead of returning noise.
     """
     x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return np.zeros_like(x)
-    pred = _wright_predicted_digits(np.abs(x), params.eta)
-    worst = float(np.max(pred))
-    if worst > 12.0:
-        idx = int(np.argmax(pred))
-        raise SeriesRangeError(
-            f"Wright series at x={x[idx]:g} would cancel ~{worst:.0f} "
-            f"digits; |x| exceeds the declared guard "
-            f"~{wright_guard(params.eta, params.beta):.3g} "
-            "-- rescale or use the stable route"
-        )
-    values = np.empty_like(x)
-    f64_mask = pred <= 3.5
-    need_mp = ~f64_mask
-    if np.any(f64_mask):
-        sub, cond = _wright_series_f64(x[f64_mask], params.eta, params.beta)
-        values[f64_mask] = sub
-        # The prediction is asymptotic; trust the measured condition when
-        # it disagrees and escalate those entries too.
-        bad = cond > _COND_FLOAT
-        if np.any(bad):
-            escal = np.nonzero(f64_mask)[0][np.nonzero(bad)[0]]
-            need_mp = need_mp.copy()
-            need_mp[escal] = True
-    for idx in np.nonzero(need_mp)[0]:
-        values[idx] = _wright_mp(float(x[idx]), params.eta, params.beta,
-                                 max(float(pred[idx]), 4.0))
-    return values
+    eta, beta = params.eta, params.beta
+    return _tiered_series(
+        x, _wright_predicted_digits(np.abs(x), eta),
+        lambda xs: _wright_series_f64(xs, eta, beta),
+        lambda xv, digits: _wright_mp(xv, eta, beta, digits),
+        lambda xv, digits: (
+            f"Wright series at x={xv:g} would cancel ~{digits:.0f} digits; "
+            f"|x| exceeds the declared guard ~{wright_guard(eta, beta):.3g} "
+            "-- rescale or use the stable route"))
 
 
 # ---------------------------------------------------------------------------
@@ -579,12 +596,9 @@ def _ml_contour(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
     values = np.empty(z.shape, dtype=complex)
     sum_abs = np.empty(z.shape)
-    order = np.argsort(-n)  # chunks of similar N waste few masked nodes
-    start = 0
-    while start < z.size:
-        n_max = int(n[order[start]])
-        rows = max(1, _ML_CHUNK // (2 * n_max + 1))
-        idx = order[start:start + rows]
+    # chunks of similar N waste few masked nodes
+    for idx in _chunks(2.0 * n + 1.0, _ML_CHUNK):
+        n_max = int(n[idx[0]])
         k = np.arange(-n_max, n_max + 1)
         u = h[idx, None] * k
         s = mu[idx, None] * (1.0 + 1j * u) ** 2
@@ -598,7 +612,6 @@ def _ml_contour(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         terms[np.abs(k) > n[idx, None]] = 0.0
         values[idx] = h[idx] * terms.sum(axis=1) / (2j * math.pi)
         sum_abs[idx] = h[idx] * np.abs(terms).sum(axis=1) / (2.0 * math.pi)
-        start += rows
     values += residue
     # a real argument has a real value; the symmetric sum leaves only
     # rounding in the imaginary part
@@ -655,50 +668,49 @@ def mittag_leffler_grid(z: np.ndarray,
 # One-sided stable density
 # ---------------------------------------------------------------------------
 
-def _stable_series_f64(w: np.ndarray, u: float, alpha: float):
-    """Large-argument series of the one-sided stable density.
+def _stable_series_f64(w: np.ndarray, alpha: float, log_u: np.ndarray):
+    """Large-argument series of the one-sided stable density, each point
+    at its own scale ``u = e^{log_u}``:
 
     (1/pi) sum_{k>=1} (-1)^{k+1} Gamma(alpha k + 1)/k! sin(pi k alpha)
                       u^k w^{-alpha k - 1}
-    Returns (values, condition); condition is inf where the 4000-term cap
-    was hit before the terms started decaying.
+    Returns (values, condition); condition is inf where a point's 4000-term
+    cap was hit before its terms started decaying.  Each point sums its own
+    term count, so a batch returns what each point would alone.
     """
-    w = np.asarray(w, dtype=float)
-    ratio_scale = max(float(np.max(u * w ** -alpha)) if w.size else 0.0, 1e-9)
-    k_peak = ratio_scale ** (1.0 / (1.0 - alpha))
+    log_w = np.log(w)
+    log_ratio = np.maximum(log_u - alpha * log_w, math.log(1e-9))
+    k_peak = np.exp(log_ratio / (1.0 - alpha))
     n_terms = 2.6 * k_peak + 60.0
-    if k_peak < 0.1:
-        # below the peak the terms shrink only by ~(k / (e k_peak))^-(1-alpha)
-        # each, which for alpha near 1 takes far more than 60 terms
-        n_terms += 40.0 / (-math.log(ratio_scale) - (1.0 - alpha))
-    n_terms = min(int(n_terms), 4000)
+    # below the peak the terms shrink only by ~(k / (e k_peak))^-(1-alpha)
+    # each, which for alpha near 1 takes far more than 60 terms
+    small = k_peak < 0.1
+    n_terms[small] += 40.0 / (-log_ratio[small] - (1.0 - alpha))
+    n_terms = np.minimum(n_terms, 4000.0).astype(int)
 
-    ks = np.arange(1, n_terms + 1, dtype=float)
+    ks = np.arange(1.0, n_terms.max() + 1.0)
     # Gamma(alpha k + 1)/k! staying in log space for range safety.
     log_coef = gammaln(alpha * ks + 1.0) - gammaln(ks + 1.0)
-    sin_k = np.sin(np.pi * alpha * ks)
-    sign_k = np.where(ks % 2 == 1, 1.0, -1.0)
-
-    logw = np.log(w)
-    logu = math.log(u)
-    # One dense (term, argument) matrix: n_terms stays ~O(1e3), and numpy's
-    # pairwise summation keeps the rounding at ~log2(n) eps per max term;
-    # the caller trusts the sum only up to _STABLE_SERIES_COND.
-    log_mag = (log_coef[:, None] + ks[:, None] * logu
-               + (-alpha * ks[:, None] - 1.0) * logw[None, :])
-    terms = (sign_k * sin_k)[:, None] * np.exp(log_mag)
-    abs_terms = np.abs(terms)
-    total = terms.sum(axis=0) / math.pi
-    max_term = abs_terms.max(axis=0)
-    cond = max_term / math.pi / np.maximum(np.abs(total), 1e-300)
-    # sin(pi k alpha) vanishes at rational alpha, so judge convergence by
-    # the largest magnitude over the closing window, not the literal last
-    # term.
-    live_term = abs_terms[-8:, :].max(axis=0)
-    stalled = live_term > 1e-14 * (math.pi * np.abs(total) + 1e-300)
-    cond = np.where(stalled & np.isfinite(cond), np.inf, cond)
-    cond = np.where(np.isfinite(total), cond, np.inf)
-    return total, cond
+    signed_sin = np.where(ks % 2 == 1, 1.0, -1.0) * np.sin(np.pi * alpha * ks)
+    total, cond = np.empty(w.size), np.empty(w.size)
+    for idx in _chunks(n_terms, _STABLE_CHUNK):
+        k = ks[:n_terms[idx[0]]]
+        # One dense (argument, term) block: numpy's pairwise summation keeps
+        # the rounding at ~log2(n) eps per max term; the caller trusts the
+        # sum only up to _STABLE_SERIES_COND.
+        terms = signed_sin[:k.size] * np.exp(
+            log_coef[:k.size] + k * log_u[idx, None]
+            + (-alpha * k - 1.0) * log_w[idx, None])
+        terms[k > n_terms[idx, None]] = 0.0
+        total[idx] = terms.sum(axis=1)
+        abs_terms = np.abs(terms)
+        # sin(pi k alpha) vanishes at rational alpha, so judge convergence
+        # by the largest magnitude over each point's closing window, not
+        # its literal last term.
+        live = np.where(k > n_terms[idx, None] - 8, abs_terms, 0.0)
+        cond[idx] = _series_condition(total[idx], abs_terms.max(axis=1),
+                                      live.max(axis=1))
+    return total / math.pi, cond
 
 
 _ZOLOTAREV_NODE_LADDER = (240, 480, 960, 1920)
@@ -707,6 +719,9 @@ _ZOLOTAREV_NODE_LADDER = (240, 480, 960, 1920)
 #: log-space terms carry ~1e-13 relative rounding each, so past a few units
 #: of cancellation the positive Zolotarev integral is the more accurate.
 _STABLE_SERIES_COND = 3.0
+
+#: Elements of one block of the stable density's work arrays (about 1 MB)
+_STABLE_CHUNK = 1 << 15
 
 
 @lru_cache(maxsize=None)
@@ -721,9 +736,9 @@ def _zolotarev_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _zolotarev_values(w: np.ndarray, alpha: float,
-                      log_scale: float = 0.0) -> np.ndarray:
+                      log_scale=0.0) -> np.ndarray:
     """Small-argument one-sided stable density at scale ``u``, given as
-    ``log_scale = -log(u) / alpha``:
+    ``log_scale = -log(u) / alpha`` (one for all points or one per point):
     ``f(w; u) = e^{log_scale} f(x; 1)`` with ``x = w e^{log_scale}``, and
 
     f(x; 1) = (alpha / ((1-alpha) pi)) x^{-1/(1-alpha)}
@@ -731,7 +746,8 @@ def _zolotarev_values(w: np.ndarray, alpha: float,
     with A(theta) = sin(alpha theta)^{alpha/(1-alpha)}
                     * sin((1-alpha) theta) / sin(theta)^{1/(1-alpha)}.
     The integrand is positive, so no cancellation occurs, which is exactly
-    why this route covers the region where the series loses digits.
+    why this route covers the region where the series loses digits.  Each
+    point climbs the node ladder alone, until two rungs agree to 1e-10.
     """
     frac = alpha / (1.0 - alpha)
     # the scale, the prefactor and the multiplier inside the exponential
@@ -743,60 +759,65 @@ def _zolotarev_values(w: np.ndarray, alpha: float,
                 - log_x / (1.0 - alpha))
     log_cs = -frac * log_x
 
-    def eval_rule(n_nodes: int) -> np.ndarray:
+    def eval_rule(n_nodes: int, idx: np.ndarray) -> np.ndarray:
         theta, wts = _zolotarev_rule(n_nodes)
         log_a = (frac * np.log(np.sin(alpha * theta))
                  + np.log(np.sin((1.0 - alpha) * theta))
-                 - np.log(np.sin(theta)) / (1.0 - alpha))
-        # integrand rows: one theta; columns: one x
-        with np.errstate(over="ignore"):
-            expo = (log_pref[None, :] + log_a[:, None]
-                    - np.exp(log_cs[None, :] + log_a[:, None]))
-        vals = np.where(expo > -745.0, np.exp(expo), 0.0)
-        return wts @ vals
+                 - np.log(np.sin(theta)) / (1.0 - alpha))[:, None]
+        out = np.empty(idx.size)
+        for at in _chunks(np.full(idx.size, n_nodes), _STABLE_CHUNK):
+            # integrand rows: one theta; columns: one x
+            with np.errstate(over="ignore"):
+                expo = (log_pref[idx[at]] + log_a
+                        - np.exp(log_cs[idx[at]] + log_a))
+            out[at] = wts @ np.where(expo > -745.0, np.exp(expo), 0.0)
+        return out
 
-    prev = eval_rule(_ZOLOTAREV_NODE_LADDER[0])
+    idx = np.arange(log_x.size)
+    values = eval_rule(_ZOLOTAREV_NODE_LADDER[0], idx)
     for n_nodes in _ZOLOTAREV_NODE_LADDER[1:]:
-        cur = eval_rule(n_nodes)
-        change = float(np.max(np.abs(cur - prev)
-                              / np.maximum(np.abs(cur), 1e-300)))
-        if change < 1e-10:
-            return cur
-        prev = cur
+        cur = eval_rule(n_nodes, idx)
+        change = np.abs(cur - values[idx]) / np.maximum(np.abs(cur), 1e-300)
+        values[idx] = cur
+        idx = idx[~(change < 1e-10)]
+        if idx.size == 0:
+            return values
     raise ConvergenceError(
-        f"Zolotarev integral at alpha={alpha} still moves by {change:.2g} "
-        f"between its last rungs ({_ZOLOTAREV_NODE_LADDER[-1]} nodes)")
+        f"Zolotarev integral at alpha={alpha} still moves by "
+        f"{np.max(change):.2g} between its last rungs "
+        f"({_ZOLOTAREV_NODE_LADDER[-1]} nodes)")
 
 
-def stable_one_sided_density_grid(w: np.ndarray, s: StableOneSided) -> np.ndarray:
-    """Density of the stable law with Laplace transform e^{-s^alpha u}
-    over an array of w > 0.
-
-    Uses the convergent large-argument series where it is well conditioned
-    and the scaling reduction w -> w u^{-1/alpha} through the positive
-    integral representation below that; the two regimes overlap.  Entries
-    whose series peak index is already large are routed straight to the
-    integral form without burning through a doomed term loop.
-    """
-    w = np.asarray(w, dtype=float)
-    if np.any(w <= 0.0):
-        raise DomainError("stable density needs w > 0")
+def _stable_one_sided(w: np.ndarray, alpha: float,
+                      log_u: np.ndarray) -> np.ndarray:
+    """Density at ``w > 0`` of the stable law with Laplace transform
+    ``e^{-s^alpha u}``, each point at its own scale ``u = e^{log_u}``: the
+    large-argument series where it is well conditioned, the positive
+    integral of the scaling reduction w -> w u^{-1/alpha} below that (the
+    two regimes overlap).  A point whose series peak index is already
+    large goes straight to the integral, without a doomed term loop."""
     with np.errstate(over="ignore"):
-        k_pk = (s.u * w ** -s.alpha) ** (1.0 / (1.0 - s.alpha))
+        k_pk = np.exp((log_u - alpha * np.log(w)) / (1.0 - alpha))
     try_series = k_pk <= 300.0
     values = np.empty_like(w)
     use_integral = ~try_series
     if np.any(try_series):
-        sub, cond = _stable_series_f64(w[try_series], s.u, s.alpha)
-        values[try_series] = sub
-        bad = cond > _STABLE_SERIES_COND
-        if np.any(bad):
-            use_integral = use_integral.copy()
-            use_integral[np.nonzero(try_series)[0][np.nonzero(bad)[0]]] = True
+        values[try_series], cond = _stable_series_f64(
+            w[try_series], alpha, log_u[try_series])
+        use_integral[try_series] = cond > _STABLE_SERIES_COND
     if np.any(use_integral):
         values[use_integral] = _zolotarev_values(
-            w[use_integral], s.alpha, -math.log(s.u) / s.alpha)
+            w[use_integral], alpha, -log_u[use_integral] / alpha)
     return values
+
+
+def stable_one_sided_density_grid(w: np.ndarray, s: StableOneSided) -> np.ndarray:
+    """Density of the stable law with Laplace transform e^{-s^alpha u}
+    over an array of w > 0: :func:`_stable_one_sided` at the scale s.u."""
+    w = np.asarray(w, dtype=float)
+    if np.any(w <= 0.0):
+        raise DomainError("stable density needs w > 0")
+    return _stable_one_sided(w, s.alpha, np.full(w.shape, math.log(s.u)))
 
 
 # ---------------------------------------------------------------------------
@@ -821,16 +842,12 @@ def _spec_neg_series_f64(x: np.ndarray, alpha: float):
         powers = x[None, :] ** (ns[:, None] - 1.0)
         terms = (sign_n * sin_n * np.exp(log_coef))[:, None] * powers
         abs_terms = np.abs(terms)
-        total = terms.sum(axis=0) / math.pi
-        max_term = abs_terms.max(axis=0)
-        cond = max_term / math.pi / np.maximum(np.abs(total), 1e-300)
+        total = terms.sum(axis=0)
         # sin(pi n alpha) has zeros at rational alpha; judge the tail by a
         # closing window of terms rather than the literal last one.
-        live_term = abs_terms[-8:, :].max(axis=0)
-        stalled = live_term > 1e-14 * (math.pi * np.abs(total) + 1e-300)
-        cond = np.where(stalled & np.isfinite(cond), np.inf, cond)
-        cond = np.where(np.isfinite(total), cond, np.inf)
-    return total, cond
+        cond = _series_condition(total, abs_terms.max(axis=0),
+                                 abs_terms[-8:, :].max(axis=0))
+    return total / math.pi, cond
 
 
 def _spec_neg_mp(x: float, alpha: float, digits_lost: float) -> float:
@@ -863,36 +880,21 @@ def stable_spec_neg_density_grid(u: np.ndarray,
     law of index 1/alpha at time t (positive branch; total mass alpha on
     u > 0).
 
-    Entries are routed by the predicted series cancellation (the peak term
+    Entries are routed by :func:`_tiered_series` on the predicted series
+    cancellation, the Wright series' with ``eta = -alpha``: the peak term
     has log-magnitude ~ (1-alpha) n* with n* = (alpha^alpha x)^{1/(1-alpha)},
-    while the sum decays at the same rate): float64 below ~3.5 lost digits,
-    extended precision below 12, and a refusal beyond that.
+    while the sum decays at the same rate.
     """
     u = np.asarray(u, dtype=float)
     if np.any(u < 0.0):
         raise DomainError("spectrally negative branch needs u >= 0")
     talpha = s.t ** s.alpha
     x = u / talpha
-    n_pk = (s.alpha ** s.alpha * x) ** (1.0 / (1.0 - s.alpha))
-    pred = 2.0 * (1.0 - s.alpha) * n_pk / math.log(10.0)
-    worst = float(np.max(pred)) if pred.size else 0.0
-    if worst > 12.0:
-        idx = int(np.argmax(pred))
-        raise SeriesRangeError(
-            f"spectrally negative series at u/t^alpha={x[idx]:g} would "
-            f"cancel ~{worst:.0f} digits; beyond the declared guard"
-        )
-    values = np.empty_like(x)
-    f64_mask = pred <= 3.5
-    need_mp = ~f64_mask
-    if np.any(f64_mask):
-        sub, cond = _spec_neg_series_f64(x[f64_mask], s.alpha)
-        values[f64_mask] = sub
-        bad = cond > _COND_FLOAT
-        if np.any(bad):
-            need_mp = need_mp.copy()
-            need_mp[np.nonzero(f64_mask)[0][np.nonzero(bad)[0]]] = True
-    for idx in np.nonzero(need_mp)[0]:
-        values[idx] = _spec_neg_mp(float(x[idx]), s.alpha,
-                                   max(float(pred[idx]), 4.0))
+    values = _tiered_series(
+        x, _wright_predicted_digits(x, -s.alpha),
+        lambda xs: _spec_neg_series_f64(xs, s.alpha),
+        lambda xv, digits: _spec_neg_mp(xv, s.alpha, digits),
+        lambda xv, digits: (
+            f"spectrally negative series at u/t^alpha={xv:g} would cancel "
+            f"~{digits:.0f} digits; beyond the declared guard"))
     return values / talpha

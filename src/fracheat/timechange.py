@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammaln, rgamma
 
 from ._errors import DomainError
-from .specfun import StableOneSided, closed_form, stable_one_sided_density_grid
+from .specfun import _stable_one_sided, closed_form
 
 # bench/tracer.py probes these by name in this module; nothing here calls them
 from .specfun import stable_spec_neg_density_grid, wright_w_extended, wright_w_grid  # noqa: E501,F401
@@ -55,28 +55,26 @@ def time_density_grid(law: TimeChangeLaw, u) -> np.ndarray:
     Each point ``x = u t^{-alpha} > 0`` takes the stable law at its own
     scale, ``F(x) = g(1; scale x) / (alpha x)``, so the stable density's
     argument stays 1 instead of ``x^{-1/alpha}``, which overflows near
-    ``x = 0`` for small ``alpha``.  The points are evaluated one by one,
-    so each keeps the relative accuracy of its own evaluation far into
-    the tail, where the density underflows to 0.
+    ``x = 0`` for small ``alpha``.  All points go to the stable density in
+    one call, and each keeps the relative accuracy of its own evaluation
+    far into the tail, where the density underflows to 0.
     """
     alpha = law.alpha
     if alpha == 1.0:
         raise DomainError(
             "at alpha = 1 the random time is a point mass at u = t and has "
             "no density")
-    one = np.ones(1)
-
-    def profile(x: float) -> float:
-        if x > 0.0:
-            g = stable_one_sided_density_grid(one, StableOneSided(alpha, x))
-            return float(g[0]) / (alpha * x)
-        return float(rgamma(1.0 - alpha)) if x == 0.0 else 0.0
-
     scale = law.t ** -alpha
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.all(np.isfinite(u)):
         raise DomainError("u must be finite")
-    return np.array([scale * profile(float(v) * scale) for v in u])
+    x = u * scale
+    profile = np.where(x == 0.0, float(rgamma(1.0 - alpha)), 0.0)
+    pos = x > 0.0
+    g = _stable_one_sided(np.ones(np.count_nonzero(pos)), alpha,
+                          np.log(x[pos]))
+    profile[pos] = g / (alpha * x[pos])
+    return scale * profile
 
 
 def time_moment(alpha: float, delta: float, t: float) -> float:

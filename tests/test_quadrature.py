@@ -249,6 +249,19 @@ class TestEulerTailSum:
         assert_allclose(value, -0.08784112072136284, atol=1e-10)
         assert err >= 0.0
 
+    def test_rows_sum_like_single_sequences(self):
+        # a 2-D array sums along its last axis, each row as it would alone
+        rng = np.random.default_rng(7)
+        j = np.arange(30)
+        blocks = ((-1.0) ** j * (j + 1.0) ** rng.uniform(-1.5, 2.0, (6, 1))
+                  * rng.uniform(0.5, 2.0, (6, 30)))
+        values, errs = euler_tail_sum(blocks)
+        assert values.shape == errs.shape == (6,)
+        for row, value, err in zip(blocks, values, errs):
+            assert (value, err) == euler_tail_sum(row)
+
     def test_rejects_short_input(self):
         with pytest.raises(DomainError):
             euler_tail_sum([1.0, -0.5, 0.25])
+        with pytest.raises(DomainError):
+            euler_tail_sum(np.ones((5, 3)))

@@ -315,6 +315,24 @@ def fresh_kernel_profiles():
     solver._kernel_profile.cache_clear()
 
 
+@pytest.mark.parametrize("n, sign", [(3, 1), (3, -1), (5, 1), (5, -1)])
+def test_oscillatory_head_batch_matches_single_points(n, sign):
+    """The head of every oscillatory-side point of a request is one array;
+    points that start at different phase blocks keep their single-point
+    values and bars."""
+    kernel = solver._kernel_profile(n, sign)
+    weight = solver._time_profile(0.5).profile
+    j0 = np.array([0, 36, solver._OSC_BLOCKS, 0, 36, solver._OSC_BLOCKS])
+    ys = kernel.osc_dir * np.array([0.4, 2.5, 7.5, 1.1, 3.0, 5.0])
+    values, errors = kernel.head(ys, weight, j0)
+    for i in range(ys.size):
+        one_val, one_err = kernel.head(ys[i:i + 1], weight, j0[i:i + 1])
+        assert values[i] == pytest.approx(one_val[0], rel=1e-14, abs=1e-300)
+        assert errors[i] == pytest.approx(one_err[0], rel=1e-14, abs=1e-300)
+    last = j0 == solver._OSC_BLOCKS
+    assert np.all(values[last] == 0.0) and np.all(errors[last] > 0.0)
+
+
 @pytest.mark.parametrize("n, sign", [(n, s) for n in range(2, 9)
                                      for s in ((1, -1) if n % 2 else (1,))])
 def test_kernel_profile_matches_contour(n, sign):

@@ -469,13 +469,38 @@ class TestStableOneSided:
         assert_allclose(direct, reduced, rtol=1e-8)
 
     def test_grid_matches_scalar(self):
-        # a batch sizes its series by its smallest w, a single point by its
-        # own
+        # every point of a batch sums its own term count and climbs the
+        # Zolotarev ladder alone, as it would on its own
         spec = StableOneSided(alpha=0.7, u=1.2)
         ws = np.array([0.05, 0.3, 1.0, 5.0])
         grid = stable_one_sided_density_grid(ws, spec)
         singles = [_one(stable_one_sided_density_grid, w, spec) for w in ws]
         assert_allclose(grid, singles, rtol=1e-12)
+
+    def test_mixed_rungs_keep_single_point_values(self):
+        # at alpha = 0.99 these points settle on the rungs of 480, 960 and
+        # 1920 nodes; judged together, the first ones would take the last
+        # rung's values, about 1.5e-13 away
+        w = np.array([0.9, 1.0, 1.05, 1.1, 1.2])
+        log_scale = np.zeros(w.size)
+        batch = specfun._zolotarev_values(w, 0.99, log_scale)
+        single = [specfun._zolotarev_values(w[i:i + 1], 0.99, 0.0)[0]
+                  for i in range(w.size)]
+        assert_allclose(batch, single, rtol=1e-14, atol=0.0)
+
+    def test_mixed_term_counts_keep_single_point_values(self):
+        # near alpha = 1 a peak index just under 0.1 (u = 0.97) needs
+        # thousands of terms and one past it (u = 1.02) needs 79: sized by
+        # the larger peak index, u = 0.97 would stall
+        log_u = np.log([1e-5, 0.5, 0.9, 0.97, 1.02])
+        w = np.ones(log_u.size)
+        batch, cond = specfun._stable_series_f64(w, 0.99, log_u)
+        for i in range(w.size):
+            one, one_cond = specfun._stable_series_f64(w[i:i + 1], 0.99,
+                                                       log_u[i:i + 1])
+            assert batch[i] == pytest.approx(one[0], rel=1e-14)
+            assert (cond[i] <= 3.0) == (one_cond[0] <= 3.0)
+        assert np.all(cond[:4] <= 3.0)
 
 
 class TestStableSpectrallyNegative:

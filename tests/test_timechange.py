@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -484,6 +485,43 @@ class TestDualityDensity:
         vals = time_density_grid(TimeChangeLaw(alpha, 1.0),
                                  np.array([2.0, 5.0]))
         assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+
+
+def profile_nodes(alpha: float) -> np.ndarray:
+    """The 769 Chebyshev-Lobatto nodes of the solver's largest time-law
+    fit, on ``[0, x_clip]``."""
+    x_clip = (46.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
+    return 0.5 * x_clip * (1.0 - np.cos(np.pi * np.arange(769) / 768))
+
+
+class TestOneCallPerRequest:
+    """The density of a whole request comes from one array call; every
+    point keeps the value it has alone."""
+
+    @pytest.mark.parametrize("alpha", [0.005, 0.3, 0.97, 0.995, 0.998])
+    def test_batch_matches_single_points(self, alpha):
+        nodes = profile_nodes(alpha)
+        us = np.concatenate((nodes, [-0.5, -1e-300, 1.5 * nodes[-1]]))
+        law = TimeChangeLaw(alpha, 1.0)
+        batch = time_density_grid(law, us)
+        single = np.array([time_density_grid(law, [u])[0] for u in us])
+        assert_allclose(batch, single, rtol=1e-14, atol=0.0)
+        assert batch[0] == pytest.approx(1.0 / gamma_fn(1.0 - alpha),
+                                         rel=1e-15)
+        assert np.all(batch[-3:-1] == 0.0) and np.all(batch[1:-3] >= 0.0)
+
+    def test_memory_of_a_full_fit_stays_small(self):
+        # the stable density's (points x terms) and (nodes x points)
+        # blocks come in chunks of about 1 MB
+        law, nodes = TimeChangeLaw(0.995, 1.0), profile_nodes(0.995)
+        time_density_grid(law, nodes)
+        tracemalloc.start()
+        try:
+            time_density_grid(law, nodes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 class TestWrightOracleTail:
