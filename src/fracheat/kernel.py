@@ -20,7 +20,7 @@ import numpy as np
 
 from scipy.special import gammaln
 
-from ._errors import DomainError
+from ._errors import DomainError, require_positive
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
@@ -67,6 +67,15 @@ class EquationSpec:
             return -1 if (self.n // 2) % 2 == 0 else 1
         return self.odd_sign
 
+    @property
+    def osc_dir(self) -> int:
+        """Sign of ``x`` on the side where the kernel oscillates with an
+        algebraic envelope: ``-k (-1)^((n-1)/2)`` for odd ``n`` (it decays
+        superexponentially on the other side), 0 for even ``n``."""
+        if self.n % 2 == 0:
+            return 0
+        return -self.k * (-1) ** ((self.n - 1) // 2)
+
 
 def make_equation_spec(n: int, odd_sign: int = 1) -> EquationSpec:
     """Validated constructor for :class:`EquationSpec`."""
@@ -109,16 +118,6 @@ def root_system(spec: EquationSpec) -> RootSystem:
     return RootSystem(roots=roots, incoming=incoming, outgoing=outgoing)
 
 
-def _require_time(t: float) -> None:
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"time must be positive and finite, got {t}")
-
-
-def _require_tol(tol: float) -> None:
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
-
-
 def kernel_density_grid(spec: EquationSpec, x, t: float,
                         tol: float = DEFAULT_TOL):
     """The signed kernel ``p_n(x, t)`` on an array of space points.
@@ -128,8 +127,8 @@ def kernel_density_grid(spec: EquationSpec, x, t: float,
     covers every value.  Values are not clamped; ``solve`` sets the
     noise-level negatives of ``n = 2`` to zero.
     """
-    _require_time(t)
-    _require_tol(tol)
+    require_positive(t, "time")
+    require_positive(tol, "tol")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if not np.all(np.isfinite(x_arr)):
         raise DomainError("space points must be finite")
@@ -144,7 +143,7 @@ def kernel_moment(spec: EquationSpec, r: int, t: float) -> float:
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise DomainError(f"moment order must be an integer >= 0, got {r}")
-    _require_time(t)
+    require_positive(t, "time")
     if r % spec.n != 0:
         return 0.0
     j = r // spec.n
@@ -169,9 +168,7 @@ def kernel_laplace(spec: EquationSpec, x: float, s: float) -> float:
     possible.  The tiny residual imaginary part of the symmetric sum is
     discarded.
     """
-    if not 0.0 < s < math.inf:
-        raise DomainError(
-            f"Laplace parameter must be positive and finite, got {s}")
+    require_positive(s, "Laplace parameter")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     rs = root_system(spec)
@@ -271,8 +268,8 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     """
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise DomainError(f"moment order must be an integer >= 0, got {r}")
-    _require_time(t)
-    _require_tol(tol)
+    require_positive(t, "time")
+    require_positive(tol, "tol")
     n = spec.n
     log_mag = (float(gammaln(r + 1.0) - gammaln(r / n + 1.0))
                + r / n * math.log(t))
@@ -298,11 +295,6 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     if n % 2 == 0:
         reach, tails = cut, 2
     else:
-        # gamma = k (-1)^{(n-1)/2} fixes the rotation; the kernel decays
-        # superexponentially for gamma * x > 0 and oscillates with an
-        # algebraic envelope on the other side.
-        gamma = spec.k * (-1) ** ((n - 1) // 2)
-        osc_dir = -float(gamma)     # sign of x on the oscillatory side
         phase0 = 6.0 * math.pi
         bounds = _phase_point(
             n, t, phase0 + math.pi * np.arange(_MOMENT_BLOCKS + 1.0))
@@ -337,7 +329,7 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
         return result(res.value, res.error_estimate, res.evaluations)
 
     x_head = float(bounds[0])
-    if osc_dir > 0:
+    if spec.osc_dir > 0:
         lo, hi = -cut, x_head
     else:
         lo, hi = -x_head, cut
@@ -351,7 +343,7 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     evals = head.evaluations
     err_blocks = 0.0
     for j in range(_MOMENT_BLOCKS):
-        a, b = osc_dir * bounds[j], osc_dir * bounds[j + 1]
+        a, b = spec.osc_dir * bounds[j], spec.osc_dir * bounds[j + 1]
         if a > b:
             a, b = b, a
         floor_j = (_KERNEL_NOISE * bounds[j + 1] ** r

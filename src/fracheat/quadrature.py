@@ -31,7 +31,12 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from ._errors import ContourError, ConvergenceError, DomainError
+from ._errors import (
+    ContourError,
+    ConvergenceError,
+    DomainError,
+    require_positive,
+)
 
 DEFAULT_TOL = 1e-9
 
@@ -397,8 +402,7 @@ def kernel_contour_values(n: int, sign: int, x, t: float,
     for odd ``n`` (the result must not depend on it; exposed so tests can
     verify that).
     """
-    if t <= 0:
-        raise DomainError(f"time {t} must be positive")
+    require_positive(t, "time")
     if n < 2:
         raise DomainError(f"spatial order {n} must be >= 2")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))

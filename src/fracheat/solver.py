@@ -25,7 +25,13 @@ from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct
 from scipy.special import gamma as gamma_fn, gammaln, rgamma, sici
 
-from ._errors import ConvergenceError, DomainError, StencilUnderflowError
+from ._errors import (
+    ConvergenceError,
+    DomainError,
+    StencilUnderflowError,
+    require_alpha,
+    require_positive,
+)
 from .kernel import (
     EquationSpec,
     _decay_rate,
@@ -139,10 +145,8 @@ class SolutionRequest:
     route: str = "auto"
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.t < math.inf:
-            raise DomainError(f"t must be positive and finite, got {self.t}")
+        require_alpha(self.alpha)
+        require_positive(self.t, "t")
         if self.route not in _SOLVE_ROUTES:
             raise DomainError(f"unknown route {self.route!r}")
         xs = np.atleast_1d(np.asarray(self.x_grid, dtype=float))
@@ -291,7 +295,7 @@ class _KernelProfile(_Chebyshev):
         self.spec = make_equation_spec(n, k)
         c, nu = _decay_rate(n, 1.0)
         self.clip_abs = (_DECAY_CLIP_LOG / c) ** (1.0 / nu)
-        self.osc_dir = (n % 2) * -self.spec.k * (-1) ** ((n - 1) // 2)
+        self.osc_dir = self.spec.osc_dir
         lo, hi = -self.clip_abs, self.clip_abs
         if self.osc_dir:
             self.osc_edges = _phase_point(
@@ -740,8 +744,7 @@ def solve(request: SolutionRequest, *, tol: float = 1e-8) -> SolutionField:
     characteristic function a pure phase, so there the solution is the
     kernel itself.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    require_positive(tol, "tol")
     spec, alpha, n = request.spec, request.alpha, request.spec.n
     route = request.route
     if route == "auto":
@@ -774,10 +777,8 @@ def solution_char_fn(spec: EquationSpec, alpha: float, beta: float,
                      t: float) -> complex:
     """Characteristic function ``E_alpha(k_n (-i beta)^n t^alpha)`` of the
     solution in the space variable."""
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
+    require_alpha(alpha)
+    require_positive(t, "t")
     if not math.isfinite(beta):
         raise DomainError(f"beta must be finite, got {beta}")
     z = complex(spec.k) * (-1j * beta) ** spec.n * t ** alpha
@@ -792,10 +793,8 @@ def solution_moment(spec: EquationSpec, alpha: float, r: int,
     Nonzero only at multiples of ``n``:
     ``mu_{nj} = (-1)^{nj} k_n^j (nj)! t^{alpha j} / Gamma(alpha j + 1)``.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
+    require_alpha(alpha)
+    require_positive(t, "t")
     if not isinstance(r, (int, np.integer)) or r < 0:
         raise DomainError(f"moment order must be an integer >= 0, got {r}")
     if r % spec.n:
@@ -825,15 +824,11 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
     inner time integral of the density is quadrature, not a formula, so
     the comparison stays independent of the closed side.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < s < math.inf:
-        raise DomainError(
-            f"Laplace parameter must be positive and finite, got {s}")
+    require_alpha(alpha)
+    require_positive(s, "Laplace parameter")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    require_positive(tol, "tol")
     closed = s ** (alpha - 1.0) * kernel_laplace(spec, x, s ** alpha)
     t_cut, u_hi = 45.0 / s, 35.0 / s ** alpha
     kernel = _kernel_profile(spec.n, spec.k)
@@ -843,27 +838,15 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
     else:
         prof = _time_profile(alpha)
 
-        def time_integral(u: float) -> float:
-            # int_0^{t_cut} e^{-st} vbar(u, t) dt; below t_floor the density
-            # argument leaves the fitted trust region and the integrand is
-            # superexponentially small (dropped, covered by the tolerance)
-            if u <= 0.0:
-                return 0.0
-            t_floor = (u / prof.x_clip) ** (1.0 / alpha)
-            lo = min(t_floor, t_cut)
-            if lo >= t_cut:
-                return 0.0
-
-            def g(ts):
-                ts = np.asarray(ts, dtype=float)
-                sc = ts ** -alpha
-                return np.exp(-s * ts) * sc * prof.profile(u * sc)
-
-            return float(integrate_adaptive(g, lo, t_cut, 1e-10).value)
-
         def weight(us):
-            us = np.atleast_1d(np.asarray(us, dtype=float))
-            return np.array([time_integral(float(u)) for u in us])
+            # int_0^{t_cut} e^{-st} vbar(u, t) dt at every u, one shared
+            # adaptive pass; the profile is zero where u t^-alpha > x_clip
+            def g(ts):
+                sc = ts ** -alpha
+                return ((np.exp(-s * ts) * sc)[:, None] * prof.profile(
+                    np.outer(sc, us).ravel()).reshape(ts.size, -1))
+
+            return integrate_adaptive(g, 0.0, t_cut, 1e-10).value
 
     value, _ = _integrate_against_kernel(kernel, np.array([x]), weight, u_hi,
                                          0.2 * tol)
@@ -911,11 +894,8 @@ def caputo_residual(spec: EquationSpec, alpha: float, x: float,
     dt = t_grid[1] - t_grid[0]
     if dt <= 0.0 or np.max(np.abs(np.diff(t_grid) - dt)) > 1e-10 * dt:
         raise DomainError("t_grid must be uniform and increasing")
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
-    if not 0.0 < h_x < math.inf:
-        raise DomainError(
-            f"stencil spacing must be positive and finite, got {h_x}")
+    require_alpha(alpha)
+    require_positive(h_x, "stencil spacing")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x}")
     n = spec.n

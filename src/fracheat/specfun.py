@@ -26,7 +26,12 @@ import mpmath as mp
 import numpy as np
 from scipy.special import gammaln, rgamma, roots_legendre, wofz
 
-from ._errors import ConvergenceError, DomainError, SeriesRangeError
+from ._errors import (
+    ConvergenceError,
+    DomainError,
+    SeriesRangeError,
+    require_alpha,
+)
 
 #: Condition number (max |term| / |sum|) up to which a float64 compensated
 #: sum keeps ~12 significant digits.
@@ -72,8 +77,7 @@ class MLParams:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
+        require_alpha(self.alpha)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, rgamma
 
-from ._errors import DomainError
+from ._errors import DomainError, require_alpha, require_positive
 from .specfun import _stable_one_sided, closed_form
 
 # bench/tracer.py probes these by name in this module; nothing here calls them
@@ -42,10 +42,8 @@ class TimeChangeLaw:
     t: float
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.alpha <= 1.0):
-            raise DomainError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.t < math.inf:
-            raise DomainError(f"t must be positive and finite, got {self.t}")
+        require_alpha(self.alpha)
+        require_positive(self.t, "t")
 
 
 def time_density_grid(law: TimeChangeLaw, u) -> np.ndarray:
@@ -80,12 +78,10 @@ def time_density_grid(law: TimeChangeLaw, u) -> np.ndarray:
 def time_moment(alpha: float, delta: float, t: float) -> float:
     """``E[T^delta] = Gamma(1+delta) t^{alpha delta} / Gamma(1+alpha delta)``
     (equals ``t^delta`` at ``alpha = 1``)."""
-    if not (0.0 < alpha <= 1.0):
-        raise DomainError(f"alpha must lie in (0, 1], got {alpha}")
+    require_alpha(alpha)
     if not 0.0 <= delta < math.inf:
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
-    if not 0.0 < t < math.inf:
-        raise DomainError(f"t must be positive and finite, got {t}")
+    require_positive(t, "t")
     return closed_form(
         1.0,
         float(gammaln(1.0 + delta) - gammaln(1.0 + alpha * delta))
