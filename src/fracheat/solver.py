@@ -67,12 +67,17 @@ __all__ = [
 
 _SOLVE_ROUTES = ("subordination", "fourier_ml", "auto")
 
-#: tolerance of the time-law profile fit and of the kernel contour
+#: tolerance of the kernel contour
 _KERNEL_TOL = 1e-11
 
-#: time-law profile: starting Chebyshev nodes and their cap under doubling
-_PROFILE_NODES = 97
-_PROFILE_MAX_NODES = 769
+#: time-law profile: uniform panels, Chebyshev nodes per panel at the start
+#: and at the cap (a rung of 17, 33, 65, ...), fit tolerance floor and share
+#: of the peak of F (its rounding grows with that peak as alpha nears 1)
+_PROFILE_PANELS = 6
+_PROFILE_NODES = 17
+_PROFILE_MAX_NODES = 513
+_PROFILE_TOL = 1e-12
+_PROFILE_REL_TOL = 1e-13
 
 #: kernel profile: caps on a panel's width and stationary-phase increment,
 #: starting Chebyshev nodes per panel and their cap under doubling, points
@@ -202,8 +207,8 @@ class _Chebyshev:
 
     Every panel starts at ``npts`` Chebyshev-Lobatto nodes.  ``fit_err`` is
     measured against direct evaluations midway (in angle) between every
-    pair of nodes; a panel that misses ``tol`` doubles its nodes, and one
-    that still misses it at ``max_npts`` refuses the fit.
+    pair of nodes; a panel that misses ``max(tol, rel_tol max|f|)`` (first
+    rung) doubles its nodes, and refuses if the next passes ``max_npts``.
     Doubling nests: the new rung's nodes are the old nodes and the old
     midway probes, so each rung evaluates only its own new probes.  ``f``
     sees one call for the first rung's nodes and one per rung for the
@@ -212,7 +217,7 @@ class _Chebyshev:
     """
 
     def __init__(self, f, edges, npts: int, max_npts: int, tol: float,
-                 what: str) -> None:
+                 what: str, rel_tol: float = 0.0) -> None:
         self.edges = np.asarray(edges, dtype=float)
         self._lo = lo = self.edges[:-1]
         self._rad = rad = 0.5 * (self.edges[1:] - self.edges[:-1])
@@ -225,6 +230,7 @@ class _Chebyshev:
         self.fit_err = self.sup = 0.0
         active = np.arange(lo.size)
         vals = f_at(active, np.pi * np.arange(npts) / (npts - 1))
+        tol = max(tol, rel_tol * float(np.max(np.abs(vals))))
         while True:
             # the nodes are the Chebyshev-Lobatto points in reverse order,
             # so a type-1 DCT gives the interpolant's coefficients
@@ -237,12 +243,11 @@ class _Chebyshev:
             done = errs <= tol
             for j, c in zip(active[done], coef[done]):
                 coefs[j] = c
-            if np.any(done):
-                self.fit_err = max(self.fit_err, float(np.max(errs[done])))
-                self.sup = max(self.sup, float(np.max(np.abs(vals[done]))))
+            self.fit_err = float(np.max(errs[done], initial=self.fit_err))
+            self.sup = float(np.max(np.abs(vals[done]), initial=self.sup))
             if np.all(done):
                 break
-            if npts >= max_npts:
+            if 2 * npts - 1 > max_npts:
                 raise ConvergenceError(
                     f"{what} misses the tolerance {tol:g} with "
                     f"{npts} nodes (fit error {float(np.max(errs)):.2g})")
@@ -260,20 +265,14 @@ class _Chebyshev:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
         ok = (x >= self.edges[0]) & (x <= self.edges[-1])
-        if np.any(ok):
-            xs = x[ok]
-            j = np.minimum(np.searchsorted(self.edges, xs, side="right") - 1,
-                           self._lo.size - 1)
-            u = (xs - self._lo[j]) / self._rad[j] - 1.0
-            if self._lo.size == 1:
-                out[ok] = chebval(u, self._coef[:, 0])
-                return out
-            # Clenshaw, gathering each degree's coefficients per point
-            coef = self._coef
-            b1 = b2 = 0.0
-            for c in coef[:0:-1]:
-                b1, b2 = c[j] + 2.0 * u * b1 - b2, b1
-            out[ok] = coef[0][j] + u * b1 - b2
+        xs = x[ok]
+        j = np.searchsorted(self._lo, xs, side="right") - 1
+        u = (xs - self._lo[j]) / self._rad[j] - 1.0
+        # Clenshaw, gathering each degree's coefficients per point
+        b1 = b2 = 0.0
+        for c in self._coef[:0:-1]:
+            b1, b2 = c[j] + 2.0 * u * b1 - b2, b1
+        out[ok] = self._coef[0][j] + u * b1 - b2
         return out
 
 
@@ -373,18 +372,19 @@ class _TimeProfile:
     ``F``, the duality density of :func:`time_density_grid` at ``t = 1``,
     is entire, so an interpolant built once replaces per-node work for
     every later quadrature evaluation (other times follow from
-    ``vbar(u, t) = t^-alpha F(u t^-alpha)``).  One :class:`_Chebyshev`
-    panel covers ``[0, x_clip]``, where ``F(x_clip)`` is ~e^-46; beyond it
-    the profile is clamped to zero, and ``tail_mass`` is the clamped mass.
+    ``vbar(u, t) = t^-alpha F(u t^-alpha)``).  Short :class:`_Chebyshev`
+    panels of low degree cover ``[0, x_clip]``, where ``F(x_clip)`` is
+    ~e^-46; beyond it the profile is zero, and ``tail_mass`` is that mass.
     """
 
     def __init__(self, alpha: float) -> None:
         self.x_clip = (46.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
         law = TimeChangeLaw(alpha, 1.0)
-        self.profile = _Chebyshev(lambda u: time_density_grid(law, u),
-                                  (0.0, self.x_clip), _PROFILE_NODES,
-                                  _PROFILE_MAX_NODES, _KERNEL_TOL,
-                                  f"time-law profile at alpha={alpha}")
+        self.profile = _Chebyshev(
+            lambda u: time_density_grid(law, u),
+            np.linspace(0.0, self.x_clip, _PROFILE_PANELS + 1),
+            _PROFILE_NODES, _PROFILE_MAX_NODES, _PROFILE_TOL,
+            f"time-law profile at alpha={alpha}", _PROFILE_REL_TOL)
         self.fit_err = self.profile.fit_err
         self.tail_mass = _survival_probability(alpha, self.x_clip)
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -228,6 +229,35 @@ def test_time_profile_matches_series_routes(alpha):
     else:
         want = timelaw.wright_density(alpha, xs, 1.0)
     assert_allclose(prof.profile(xs), want, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.6])
+def test_time_profile_fit_is_short(monkeypatch, alpha):
+    """Mid-band profiles fit on the first rung of short panels: each
+    evaluation is a Clenshaw pass of at most 17 coefficients, and a build
+    asks the time law for about 200 values."""
+    points = []
+    density = solver.time_density_grid
+
+    def counted(law, u):
+        points.append(np.size(u))
+        return density(law, u)
+
+    monkeypatch.setattr(solver, "time_density_grid", counted)
+    prof = solver._TimeProfile(alpha)
+    assert prof.profile._coef.shape[0] <= 17
+    assert sum(points) <= 200
+
+
+@pytest.mark.parametrize("cap", [17, 20, 33, 40, 64, 65, 100, 769])
+def test_chebyshev_refusal_stays_within_the_cap(cap):
+    """A fit that cannot converge refuses on the last rung of the doubling
+    ladder that fits under the cap, never on one past it."""
+    with pytest.raises(ConvergenceError) as err:
+        solver._Chebyshev(lambda x: np.abs(x - 0.3), (0.0, 1.0), 17, cap,
+                          1e-15, "kink")
+    named = int(re.search(r"with (\d+) nodes", str(err.value)).group(1))
+    assert named <= cap < 2 * named - 1
 
 
 @pytest.mark.parametrize("alpha", [0.99, 0.995, 0.998])
