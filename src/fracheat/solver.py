@@ -46,14 +46,11 @@ from .quadrature import (
     integrate_adaptive,
     integrate_jacobi_singular,
 )
-from .specfun import (
-    MLParams,
-    StableOneSided,
-    closed_form,
-    mittag_leffler_grid,
-    stable_one_sided_density_grid,
-)
+from .specfun import MLParams, closed_form, mittag_leffler_grid
 from .timechange import TimeChangeLaw, time_density_grid
+
+# bench/tracer.py probes this by name in this module; nothing here calls it
+from .specfun import stable_one_sided_density_grid  # noqa: F401
 
 __all__ = [
     "SolutionRequest",
@@ -71,13 +68,15 @@ _SOLVE_ROUTES = ("subordination", "fourier_ml", "auto")
 _KERNEL_TOL = 1e-11
 
 #: time-law profile: uniform panels, Chebyshev nodes per panel at the start
-#: and at the cap (a rung of 17, 33, 65, ...), fit tolerance floor and share
-#: of the peak of F (its rounding grows with that peak as alpha nears 1)
+#: and at the cap (a rung of 17, 33, 65, ...), fit tolerance floor, -log of
+#: F(x_clip) and of the mass bound past it, and every Chebyshev fit's least
+#: tolerance per unit peak (the time law's rounding grows with its peak)
 _PROFILE_PANELS = 6
 _PROFILE_NODES = 17
 _PROFILE_MAX_NODES = 513
 _PROFILE_TOL = 1e-12
-_PROFILE_REL_TOL = 1e-13
+_CLIP_LOG = 46.0
+_FIT_REL_TOL = 1e-13
 
 #: kernel profile: caps on a panel's width and stationary-phase increment,
 #: starting Chebyshev nodes per panel and their cap under doubling, points
@@ -207,8 +206,8 @@ class _Chebyshev:
 
     Every panel starts at ``npts`` Chebyshev-Lobatto nodes.  ``fit_err`` is
     measured against direct evaluations midway (in angle) between every
-    pair of nodes; a panel that misses ``max(tol, rel_tol max|f|)`` (first
-    rung) doubles its nodes, and refuses if the next passes ``max_npts``.
+    pair of nodes; a panel that misses ``max(tol, _FIT_REL_TOL max|f|)``
+    (first rung) doubles, and refuses if its next rung passes ``max_npts``.
     Doubling nests: the new rung's nodes are the old nodes and the old
     midway probes, so each rung evaluates only its own new probes.  ``f``
     sees one call for the first rung's nodes and one per rung for the
@@ -217,7 +216,7 @@ class _Chebyshev:
     """
 
     def __init__(self, f, edges, npts: int, max_npts: int, tol: float,
-                 what: str, rel_tol: float = 0.0) -> None:
+                 what: str) -> None:
         self.edges = np.asarray(edges, dtype=float)
         self._lo = lo = self.edges[:-1]
         self._rad = rad = 0.5 * (self.edges[1:] - self.edges[:-1])
@@ -230,7 +229,7 @@ class _Chebyshev:
         self.fit_err = self.sup = 0.0
         active = np.arange(lo.size)
         vals = f_at(active, np.pi * np.arange(npts) / (npts - 1))
-        tol = max(tol, rel_tol * float(np.max(np.abs(vals))))
+        tol = max(tol, _FIT_REL_TOL * float(np.max(np.abs(vals))))
         while True:
             # the nodes are the Chebyshev-Lobatto points in reverse order,
             # so a type-1 DCT gives the interpolant's coefficients
@@ -287,11 +286,13 @@ class _KernelProfile(_Chebyshev):
     for even ``n``) out to the last of the ``osc_edges`` that
     :meth:`head` sums over; beyond those points it is zero.  The contour
     runs in chunks sorted by ``|y|``, because each call sizes its contour
-    for its largest point.
+    for its largest point; ``contour_err`` is the largest error estimate
+    of those calls.
     """
 
     def __init__(self, n: int, k: int) -> None:
         self.spec = make_equation_spec(n, k)
+        self.contour_err = 0.0
         c, nu = _decay_rate(n, 1.0)
         self.clip_abs = (_DECAY_CLIP_LOG / c) ** (1.0 / nu)
         self.osc_dir = self.spec.osc_dir
@@ -328,8 +329,9 @@ class _KernelProfile(_Chebyshev):
         out = np.empty_like(ys)
         order = np.argsort(np.abs(ys))
         for chunk in np.array_split(order, -(-ys.size // _KERNEL_CHUNK)):
-            out[chunk], _, _ = kernel_density_grid(self.spec, ys[chunk], 1.0,
-                                                   _KERNEL_TOL)
+            out[chunk], err, _ = kernel_density_grid(self.spec, ys[chunk],
+                                                     1.0, _KERNEL_TOL)
+            self.contour_err = max(self.contour_err, float(err))
         return out
 
     def head(self, ys: np.ndarray, weight, j0: np.ndarray
@@ -366,26 +368,23 @@ def _kernel_profile(n: int, k: int) -> _KernelProfile:
     return _KernelProfile(n, k)
 
 
-class _TimeProfile:
+class _TimeProfile(_Chebyshev):
     """Chebyshev fit of the random-time density at ``t = 1``.
 
     ``F``, the duality density of :func:`time_density_grid` at ``t = 1``,
     is entire, so an interpolant built once replaces per-node work for
     every later quadrature evaluation (other times follow from
-    ``vbar(u, t) = t^-alpha F(u t^-alpha)``).  Short :class:`_Chebyshev`
-    panels of low degree cover ``[0, x_clip]``, where ``F(x_clip)`` is
-    ~e^-46; beyond it the profile is zero, and ``tail_mass`` is that mass.
-    """
+    ``vbar(u, t) = t^-alpha F(u t^-alpha)``).  Short panels of low degree
+    cover ``[0, x_clip]``, where ``F(x_clip)`` is ~e^-_CLIP_LOG; beyond it
+    the profile is zero, and ``tail_mass`` bounds the mass it drops."""
 
     def __init__(self, alpha: float) -> None:
-        self.x_clip = (46.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
+        self.x_clip = (_CLIP_LOG / (1 - alpha)) ** (1 - alpha) / alpha ** alpha
         law = TimeChangeLaw(alpha, 1.0)
-        self.profile = _Chebyshev(
-            lambda u: time_density_grid(law, u),
-            np.linspace(0.0, self.x_clip, _PROFILE_PANELS + 1),
-            _PROFILE_NODES, _PROFILE_MAX_NODES, _PROFILE_TOL,
-            f"time-law profile at alpha={alpha}", _PROFILE_REL_TOL)
-        self.fit_err = self.profile.fit_err
+        super().__init__(lambda u: time_density_grid(law, u),
+                         np.linspace(0.0, self.x_clip, _PROFILE_PANELS + 1),
+                         _PROFILE_NODES, _PROFILE_MAX_NODES, _PROFILE_TOL,
+                         f"time-law profile at alpha={alpha}")
         self.tail_mass = _survival_probability(alpha, self.x_clip)
 
 
@@ -396,15 +395,14 @@ def _time_profile(alpha: float) -> _TimeProfile:
 
 
 def _survival_probability(alpha: float, u0: float) -> float:
-    """P(random time at t = 1 exceeds u0) as one-sided stable mass on [0, 1].
-
-    The inverse law and the one-sided stable law are first-passage duals,
-    so the survival function needs no density values beyond the guard.
-    """
-    law = StableOneSided(alpha=alpha, u=u0)
-    res = integrate_adaptive(lambda ws: stable_one_sided_density_grid(ws, law),
-                             0.0, 1.0, 1e-10)
-    return float(res.value)
+    """A bound on P(random time at t = 1 exceeds u0) = P(S < u0^(-1/alpha))
+    for the one-sided stable ``S``.  Zolotarev's integral for that CDF
+    averages ``exp(-A(theta) u0^(1/(1-alpha)))``, and Kanter's ``A`` rises
+    from ``(1-alpha) alpha^(alpha/(1-alpha))`` (Ann. Probab. 3, 1975).
+    From its logarithm the bound reads 0.0 past the float range."""
+    log_rate = (math.log1p(-alpha) + alpha / (1.0 - alpha) * math.log(alpha)
+                + math.log(u0) / (1.0 - alpha))
+    return math.exp(-math.exp(min(log_rate, 7.0)))  # e^-e^7 underflows
 
 
 def _v_integral(kernel: _KernelProfile, ys: np.ndarray, v_lo: np.ndarray,
@@ -505,14 +503,15 @@ def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
     n = kernel.spec.n
     values, errors = np.zeros(ys.size), np.zeros(ys.size)
     for i in np.flatnonzero(ys == 0.0):
-        # the singular factor is the Gauss-Jacobi weight and the remaining
-        # integrand is smooth; phi(0) comes from the contour itself
-        phi0, _, _ = kernel_density_grid(kernel.spec, np.zeros(1), 1.0,
-                                         _KERNEL_TOL)
+        # the singular factor is the Gauss-Jacobi weight, the rest smooth;
+        # phi(0) comes from the contour, and its error scales the integral
+        phi0, phi0_err, _ = kernel_density_grid(kernel.spec, np.zeros(1),
+                                                1.0, _KERNEL_TOL)
         res = integrate_jacobi_singular(
             lambda u: float(phi0[0]) * weight(u), 0.0, u_hi,
             JacobiWeight(exponent=-1.0 / n, endpoint="left"), tol)
-        values[i], errors[i] = res.value, res.error_estimate
+        values[i] = res.value
+        errors[i] = res.error_estimate + phi0_err * abs(res.value / phi0[0])
     v_hi = u_hi ** (1.0 / n)
     v_lo = np.abs(ys) / kernel.clip_abs
     osc = (ys != 0.0) & (np.sign(ys) == kernel.osc_dir)
@@ -547,14 +546,14 @@ def _subordinate(spec: EquationSpec, alpha: float, ys: np.ndarray,
     n = spec.n
     # mass clamped beyond the guard, times a kernel amplitude bound, plus
     # the measured interpolation error against the kernel's absolute
-    # u-integral; and the kernel fit error against
+    # u-integral; and the kernel's fit and contour errors against
     # int u^(-1/n) F(u) du = E[T^(-1/n)] = Gamma(1 - 1/n) / Gamma(1 - alpha/n)
     clip_err = (prof.tail_mass * prof.x_clip ** (-1.0 / n)
                 + prof.fit_err * prof.x_clip ** (1.0 - 1.0 / n) * n / (n - 1.0))
     fixed_err = (2.0 * max(kernel.sup, 0.5) * clip_err
-                 + kernel.fit_err * float(gamma_fn(1.0 - 1.0 / n)
-                                          / gamma_fn(1.0 - alpha / n)))
-    values, errors = _integrate_against_kernel(kernel, ys, prof.profile,
+                 + (kernel.fit_err + kernel.contour_err)
+                 * float(gamma_fn(1.0 - 1.0 / n) / gamma_fn(1.0 - alpha / n)))
+    values, errors = _integrate_against_kernel(kernel, ys, prof,
                                                prof.x_clip, 0.5 * tol)
     return values, errors + fixed_err
 
@@ -843,7 +842,7 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
             # adaptive pass; the profile is zero where u t^-alpha > x_clip
             def g(ts):
                 sc = ts ** -alpha
-                return ((np.exp(-s * ts) * sc)[:, None] * prof.profile(
+                return ((np.exp(-s * ts) * sc)[:, None] * prof(
                     np.outer(sc, us).ravel()).reshape(ts.size, -1))
 
             return integrate_adaptive(g, 0.0, t_cut, 1e-10).value

@@ -78,3 +78,23 @@ def test_oracles_import_and_are_not_collected():
     assert Path(timelaw.__file__).resolve().parent == oracles
     assert not [p.name for p in oracles.rglob("*.py")
                 if p.name.startswith("test_") or p.name.endswith("_test.py")]
+
+
+def test_tracer_keep_alive_imports_have_probes(monkeypatch):
+    """An import that ``src`` keeps only because ``bench/tracer.py`` probes
+    it by name (marked by a comment naming that file) must name an
+    attribute some probe of that module reads; the change that drops the
+    probe then drops the import too."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    probed = {(p.module, p.attr)
+              for p in importlib.import_module("tracer").PROBES}
+    kept = []
+    for path in sorted((SRC / "fracheat").glob("*.py")):
+        lines = path.read_text().splitlines()
+        for marker, line in zip(lines, lines[1:]):
+            if marker.startswith("# bench/tracer.py probes"):
+                names = re.match(r"from \.\w+ import ([\w, ]+)", line)
+                kept += [(path.stem, name.strip())
+                         for name in names.group(1).split(",")]
+    assert kept, "no import is marked as kept for the tracer"
+    assert [k for k in kept if k not in probed] == []

@@ -228,14 +228,15 @@ def test_time_profile_matches_series_routes(alpha):
         want = timelaw.stable_density(alpha, xs, 1.0)
     else:
         want = timelaw.wright_density(alpha, xs, 1.0)
-    assert_allclose(prof.profile(xs), want, rtol=0.0, atol=1e-12)
+    assert_allclose(prof(xs), want, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6])
 def test_time_profile_fit_is_short(monkeypatch, alpha):
     """Mid-band profiles fit on the first rung of short panels: each
     evaluation is a Clenshaw pass of at most 17 coefficients, and a build
-    asks the time law for about 200 values."""
+    asks the time law for about 200 values and runs no quadrature (the
+    clamped tail's bound is closed-form)."""
     points = []
     density = solver.time_density_grid
 
@@ -243,10 +244,34 @@ def test_time_profile_fit_is_short(monkeypatch, alpha):
         points.append(np.size(u))
         return density(law, u)
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a profile build ran a quadrature")
+
     monkeypatch.setattr(solver, "time_density_grid", counted)
+    for name in ("integrate_adaptive", "stable_one_sided_density_grid"):
+        monkeypatch.setattr(solver, name, forbidden)
     prof = solver._TimeProfile(alpha)
-    assert prof.profile._coef.shape[0] <= 17
+    assert prof._coef.shape[0] <= 17
     assert sum(points) <= 200
+
+
+@pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1, 0.38, 0.5, 0.65, 0.9,
+                                   0.99, 0.998])
+def test_survival_bound_covers_the_clamped_mass(alpha):
+    """The mass the profile drops past ``x_clip`` is charged as Kanter's
+    bound on Zolotarev's integral: ``e^-46`` there, never below the
+    integral itself."""
+    prof = solver._time_profile(alpha)
+    bound = solver._survival_probability(alpha, prof.x_clip)
+    assert prof.tail_mass == bound
+    assert bound >= timelaw.zolotarev_survival(alpha, prof.x_clip)
+    assert bound == pytest.approx(math.exp(-solver._CLIP_LOG), rel=1e-12)
+
+
+def test_survival_bound_underflows_to_zero():
+    """Past the float range the bound reads 0.0, where ``u0^(1/(1-alpha))``
+    itself would overflow (1e4^100 at alpha = 0.99)."""
+    assert solver._survival_probability(0.99, 1e4) == 0.0
 
 
 @pytest.mark.parametrize("cap", [17, 20, 33, 40, 64, 65, 100, 769])
@@ -352,7 +377,7 @@ def test_oscillatory_head_batch_matches_single_points(n, sign):
     points that start at different phase blocks keep their single-point
     values and bars."""
     kernel = solver._kernel_profile(n, sign)
-    weight = solver._time_profile(0.5).profile
+    weight = solver._time_profile(0.5)
     j0 = np.array([0, 36, solver._OSC_BLOCKS, 0, 36, solver._OSC_BLOCKS])
     ys = kernel.osc_dir * np.array([0.4, 2.5, 7.5, 1.1, 3.0, 5.0])
     values, errors = kernel.head(ys, weight, j0)
@@ -370,6 +395,9 @@ def test_kernel_profile_matches_contour(n, sign):
     spec = EquationSpec(n, sign)
     kernel = solver._kernel_profile(n, spec.k)
     assert kernel.fit_err <= solver._KERNEL_FIT_TOL
+    # so the fit's relative floor never lifts its tolerance
+    assert kernel.sup < 1.0
+    assert solver._FIT_REL_TOL * kernel.sup < solver._KERNEL_FIT_TOL
     lo, hi = kernel.edges[0], kernel.edges[-1]
     ys = np.sort(np.random.default_rng(10 * n + sign).uniform(lo, hi, 500))
     # one contour call per stretch of |y|, since each call is sized for its
@@ -379,6 +407,34 @@ def test_kernel_profile_matches_contour(n, sign):
         want[part], _, _ = kernel_density_grid(spec, ys[part], 1.0, 1e-13)
     assert_allclose(kernel(ys), want, rtol=0.0, atol=solver._KERNEL_TOL)
     assert not np.any(kernel(np.array([lo - 1.0, hi + 1.0])))
+
+
+@pytest.mark.parametrize("n, sign", [(2, 1), (3, -1), (4, 1)])
+def test_contour_error_enters_every_bar(monkeypatch, fresh_kernel_profiles,
+                                        n, sign):
+    """The kernel contour's own error estimate, for the fitted profile and
+    for ``phi(0)``, widens every bar by at least its share
+    ``E[T^(-1/n)] = Gamma(1 - 1/n) / Gamma(1 - alpha/n)``."""
+    contour = solver.kernel_density_grid
+    alphas = (0.3, 0.9)
+    bars = {}
+    for reported in (0.0, 1e-9):
+        def patched(*args, reported=reported, **kwargs):
+            values, _, evals = contour(*args, **kwargs)
+            return values, reported, evals
+
+        monkeypatch.setattr(solver, "kernel_density_grid", patched)
+        solver._kernel_profile.cache_clear()
+        for alpha in alphas:
+            req = SolutionRequest(EquationSpec(n, sign), alpha, 1.0,
+                                  (-2.0, -0.5, 0.0, 0.7, 3.0),
+                                  route="subordination")
+            bars[reported, alpha] = solve(req).errors
+    for alpha in alphas:
+        share = gamma_fn(1.0 - 1.0 / n) / gamma_fn(1.0 - alpha / n)
+        # up to the rounding of bars near 1e-9
+        assert np.all(bars[1e-9, alpha] - bars[0.0, alpha]
+                      >= 1e-9 * share * (1.0 - 1e-9))
 
 
 def test_kernel_profile_reproduces_the_contour(monkeypatch,

@@ -329,6 +329,25 @@ class TestMoments:
         assert_allclose(bulk + tail, want, rtol=1e-6)
 
 
+class TestZolotarevOracle:
+    """The extended-precision tail mass against the closed form at
+    alpha = 1/2 (``T`` is half-normal, ``P(T > u) = erfc(u / 2)``) and
+    against the stable mass on [0, 1] where that is well above rounding."""
+
+    @pytest.mark.parametrize("u0", [0.5, 2.0, 8.0, 15.0])
+    def test_half_order_is_erfc(self, u0):
+        assert timelaw.zolotarev_survival(0.5, u0) == pytest.approx(
+            math.erfc(0.5 * u0), rel=1e-13)
+
+    @pytest.mark.parametrize("alpha, u0", [(0.2, 1.0), (0.35, 2.5),
+                                           (0.7, 1.5), (0.9, 1.1)])
+    def test_matches_stable_mass(self, alpha, u0):
+        want = time_tail_probability(alpha, u0, 1.0)
+        assert want > 1e-6
+        assert timelaw.zolotarev_survival(alpha, u0) == pytest.approx(
+            want, rel=1e-8)
+
+
 class TestTimeMoment:
     def test_delta_zero_is_one(self):
         assert time_moment(0.7, 0.0, 3.0) == pytest.approx(1.0, rel=1e-14)
