@@ -67,25 +67,24 @@ _SOLVE_ROUTES = ("subordination", "fourier_ml", "auto")
 #: tolerance of the kernel contour
 _KERNEL_TOL = 1e-11
 
-#: time-law profile: uniform panels, Chebyshev nodes per panel at the start
-#: and at the cap (a rung of 17, 33, 65, ...), fit tolerance floor, -log of
-#: F(x_clip) and of the mass bound past it, and every Chebyshev fit's least
-#: tolerance per unit peak (the time law's rounding grows with its peak)
+#: time-law profile: uniform panels at the start, Chebyshev nodes per
+#: panel, fit tolerance floor, -log of F(x_clip) and of the mass bound past
+#: it; every Chebyshev fit's least tolerance per unit peak (the time law's
+#: rounding grows with its peak) and its cap on halvings of one panel
 _PROFILE_PANELS = 6
 _PROFILE_NODES = 17
-_PROFILE_MAX_NODES = 513
 _PROFILE_TOL = 1e-12
 _CLIP_LOG = 46.0
 _FIT_REL_TOL = 1e-13
+_FIT_MAX_SPLITS = 10
 
-#: kernel profile: caps on a panel's width and stationary-phase increment,
-#: starting Chebyshev nodes per panel and their cap under doubling, points
-#: per contour call while building, and the fit tolerance (the contour's
-#: own rounding sits near 1e-14)
+#: kernel profile: caps on a starting panel's width and stationary-phase
+#: increment, Chebyshev nodes per panel, points per contour call while
+#: building, and the fit tolerance (the contour's own rounding sits near
+#: 1e-14)
 _KERNEL_PANEL = 4.0
 _KERNEL_PHASE = 6.0
 _KERNEL_NODES = 20
-_KERNEL_MAX_NODES = 153
 _KERNEL_CHUNK = 256
 _KERNEL_FIT_TOL = 1e-13
 
@@ -201,64 +200,54 @@ def _gl_panels(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Chebyshev:
-    """Piecewise Chebyshev interpolant of ``f`` on the panels between
-    consecutive ``edges``, zero outside ``[edges[0], edges[-1]]``.
+    """Piecewise Chebyshev interpolant of ``f`` on ``[edges[0], edges[-1]]``,
+    zero outside it, with ``npts`` Chebyshev-Lobatto nodes on every panel.
 
-    Every panel starts at ``npts`` Chebyshev-Lobatto nodes.  ``fit_err`` is
-    measured against direct evaluations midway (in angle) between every
-    pair of nodes; a panel that misses ``max(tol, _FIT_REL_TOL max|f|)``
-    (first rung) doubles, and refuses if its next rung passes ``max_npts``.
-    Doubling nests: the new rung's nodes are the old nodes and the old
-    midway probes, so each rung evaluates only its own new probes.  ``f``
-    sees one call for the first rung's nodes and one per rung for the
-    probes of every panel still refining.  ``sup`` is the largest
-    ``|f|`` over the final nodes.
+    ``fit_err`` is measured against direct evaluations midway (in angle)
+    between every pair of nodes.  Starting from the panels between
+    ``edges``, a panel that misses ``max(tol, _FIT_REL_TOL max|f|)`` (first
+    pass) is halved; the fit refuses once a panel that misses has been
+    halved ``_FIT_MAX_SPLITS`` times.  Each pass sends the nodes and probes
+    of every panel still refining to ``f`` in one call.  ``sup`` is the
+    largest ``|f|`` over the final nodes.
     """
 
-    def __init__(self, f, edges, npts: int, max_npts: int, tol: float,
-                 what: str) -> None:
-        self.edges = np.asarray(edges, dtype=float)
-        self._lo = lo = self.edges[:-1]
-        self._rad = rad = 0.5 * (self.edges[1:] - self.edges[:-1])
-
-        def f_at(panels, angles):
-            xs = lo[panels, None] + rad[panels, None] * (1.0 - np.cos(angles))
-            return np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
-
-        coefs = [None] * lo.size
+    def __init__(self, f, edges, npts: int, tol: float, what: str) -> None:
+        # the nodes sit at the even angles, the probes at the odd ones
+        unit = 1.0 - np.cos(np.pi * np.arange(2 * npts - 1) / (2 * npts - 2))
+        edges = np.asarray(edges, dtype=float)
+        a, b, depth = edges[:-1], edges[1:], np.zeros(edges.size - 1, int)
+        lo, coefs = [], []
         self.fit_err = self.sup = 0.0
-        active = np.arange(lo.size)
-        vals = f_at(active, np.pi * np.arange(npts) / (npts - 1))
-        tol = max(tol, _FIT_REL_TOL * float(np.max(np.abs(vals))))
-        while True:
+        while a.size:
+            xs = a[:, None] + 0.5 * (b - a)[:, None] * unit
+            vals = np.asarray(f(xs.ravel()), dtype=float).reshape(xs.shape)
+            if not coefs:
+                tol = max(tol, _FIT_REL_TOL * float(np.max(np.abs(vals))))
             # the nodes are the Chebyshev-Lobatto points in reverse order,
             # so a type-1 DCT gives the interpolant's coefficients
-            coef = dct(vals[:, ::-1], type=1, axis=-1) / (npts - 1)
+            nodes = vals[:, ::2]
+            coef = dct(nodes[:, ::-1], type=1, axis=-1) / (npts - 1)
             coef[:, [0, -1]] *= 0.5
-            angles = np.pi * (np.arange(npts - 1) + 0.5) / (npts - 1)
-            probes = f_at(active, angles)
-            errs = np.max(np.abs(chebval(-np.cos(angles), coef.T) - probes),
-                          axis=1)
+            errs = np.max(np.abs(chebval(unit[1::2] - 1.0, coef.T)
+                                 - vals[:, 1::2]), axis=1)
             done = errs <= tol
-            for j, c in zip(active[done], coef[done]):
-                coefs[j] = c
+            lo.append(a[done])
+            coefs.append(coef[done])
             self.fit_err = float(np.max(errs[done], initial=self.fit_err))
-            self.sup = float(np.max(np.abs(vals[done]), initial=self.sup))
-            if np.all(done):
-                break
-            if 2 * npts - 1 > max_npts:
+            self.sup = float(np.max(np.abs(nodes[done]), initial=self.sup))
+            if np.any(depth[~done] >= _FIT_MAX_SPLITS):
                 raise ConvergenceError(
-                    f"{what} misses the tolerance {tol:g} with "
-                    f"{npts} nodes (fit error {float(np.max(errs)):.2g})")
-            active, vals, probes = active[~done], vals[~done], probes[~done]
-            npts = 2 * npts - 1
-            merged = np.empty((active.size, npts))
-            merged[:, 0::2], merged[:, 1::2] = vals, probes
-            vals = merged
+                    f"{what} misses the tolerance {tol:g} after "
+                    f"{_FIT_MAX_SPLITS} halvings of a panel "
+                    f"(fit error {float(np.max(errs)):.2g})")
+            a, b, depth = a[~done], b[~done], np.tile(depth[~done] + 1, 2)
+            a, b = np.append(a, 0.5 * (a + b)), np.append(0.5 * (a + b), b)
+        order = np.argsort(np.concatenate(lo))
+        self.edges = np.append(np.concatenate(lo)[order], edges[-1])
+        self._lo, self._rad = self.edges[:-1], 0.5 * np.diff(self.edges)
         # one row per degree, one column per panel
-        self._coef = np.zeros((max(c.size for c in coefs), lo.size))
-        for j, c in enumerate(coefs):
-            self._coef[:c.size, j] = c
+        self._coef = np.concatenate(coefs)[order].T
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -316,8 +305,7 @@ class _KernelProfile(_Chebyshev):
             return np.append(cuts[1:-1], end)
 
         edges = np.concatenate((-side(-lo)[::-1], [0.0], side(hi)))
-        super().__init__(self._contour, edges, _KERNEL_NODES,
-                         _KERNEL_MAX_NODES, _KERNEL_FIT_TOL,
+        super().__init__(self._contour, edges, _KERNEL_NODES, _KERNEL_FIT_TOL,
                          f"kernel profile of n={n}, k={k}")
         if self.osc_dir:
             # the phase blocks' nodes, with the profile taken on them once
@@ -376,16 +364,25 @@ class _TimeProfile(_Chebyshev):
     every later quadrature evaluation (other times follow from
     ``vbar(u, t) = t^-alpha F(u t^-alpha)``).  Short panels of low degree
     cover ``[0, x_clip]``, where ``F(x_clip)`` is ~e^-_CLIP_LOG; beyond it
-    the profile is zero, and ``tail_mass`` bounds the mass it drops."""
+    the profile is zero, and ``tail_mass`` bounds the mass it drops.  A
+    feature narrower than the first pass's node spacing escapes ``fit_err``
+    too, so the profile's own mass (``int T_k = 2 / (1 - k^2)``, ``k`` even)
+    must be 1 to ``tail_mass`` plus twice the fit error over the span."""
 
     def __init__(self, alpha: float) -> None:
         self.x_clip = (_CLIP_LOG / (1 - alpha)) ** (1 - alpha) / alpha ** alpha
         law = TimeChangeLaw(alpha, 1.0)
         super().__init__(lambda u: time_density_grid(law, u),
                          np.linspace(0.0, self.x_clip, _PROFILE_PANELS + 1),
-                         _PROFILE_NODES, _PROFILE_MAX_NODES, _PROFILE_TOL,
+                         _PROFILE_NODES, _PROFILE_TOL,
                          f"time-law profile at alpha={alpha}")
         self.tail_mass = _survival_probability(alpha, self.x_clip)
+        k = np.arange(0, _PROFILE_NODES, 2)
+        mass = float(self._rad @ (2.0 / (1.0 - k ** 2) @ self._coef[::2]))
+        slack = 2.0 * self.x_clip * max(self.fit_err, _PROFILE_TOL)
+        if abs(mass - 1.0) > self.tail_mass + slack:
+            raise ConvergenceError(
+                f"time-law profile at alpha={alpha} has mass {mass!r}")
 
 
 @lru_cache(maxsize=32)

@@ -647,9 +647,10 @@ def mittag_leffler_grid(z: np.ndarray,
         errors[:] = np.abs(values) * 1e-15
         return values, errors
     if alpha == 0.5:
-        # E_{1/2}(z) = e^{z^2} erfc(-z), the scaled Faddeeva function.
+        # E_{1/2}(z) = e^{z^2} erfc(-z), the scaled Faddeeva function, where
+        # e^{z^2} amplifies the rounding of z by 2|z|^2: a bar of 8 eps |z|^2
         values[:] = wofz(-1j * z)
-        errors[:] = np.abs(values) * 1e-13
+        errors[:] = np.abs(values) * (1e-13 + 1.8e-15 * np.abs(z) ** 2)
         return values, errors
 
     with np.errstate(over="ignore"):  # inf sends the point to the contour

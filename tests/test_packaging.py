@@ -1,6 +1,7 @@
 """The packaging metadata names only things that exist in the tree."""
 from __future__ import annotations
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -98,3 +99,21 @@ def test_tracer_keep_alive_imports_have_probes(monkeypatch):
                          for name in names.group(1).split(",")]
     assert kept, "no import is marked as kept for the tracer"
     assert [k for k in kept if k not in probed] == []
+
+
+def test_every_private_constant_is_read():
+    """No dead knobs: each module-level ``_UPPER_CASE`` constant assigned
+    in ``src/fracheat`` is read somewhere in the package."""
+    trees = [ast.parse(path.read_text())
+             for path in sorted((SRC / "fracheat").glob("*.py"))]
+    assigned = {name.id for tree in trees for node in tree.body
+                if isinstance(node, (ast.Assign, ast.AnnAssign))
+                for target in (node.targets if isinstance(node, ast.Assign)
+                               else [node.target])
+                for name in ast.walk(target)
+                if isinstance(name, ast.Name)
+                and re.fullmatch(r"_[A-Z][A-Z0-9_]*", name.id)}
+    read = {node.id for tree in trees for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert assigned, "no private constant found"
+    assert sorted(assigned - read) == []

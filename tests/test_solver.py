@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import re
 import time
 import tracemalloc
 from dataclasses import replace
@@ -222,6 +221,8 @@ def test_time_profile_matches_series_routes(alpha):
     (near alpha = 1 that route sums in extended precision)."""
     prof = solver._time_profile(alpha)
     assert prof.fit_err <= solver._KERNEL_TOL
+    # a narrow peak is fitted by halving panels, never by raising the degree
+    assert prof._coef.shape[0] == solver._PROFILE_NODES
     guard = 0.989 * wright_guard(-alpha, 1.0 - alpha)
     xs = np.linspace(0.0, min(guard, prof.x_clip), 13)
     if 0.5 <= alpha <= 0.9:
@@ -233,7 +234,7 @@ def test_time_profile_matches_series_routes(alpha):
 
 @pytest.mark.parametrize("alpha", [0.3, 0.6])
 def test_time_profile_fit_is_short(monkeypatch, alpha):
-    """Mid-band profiles fit on the first rung of short panels: each
+    """Mid-band profiles fit on the first pass over short panels: each
     evaluation is a Clenshaw pass of at most 17 coefficients, and a build
     asks the time law for about 200 values and runs no quadrature (the
     clamped tail's bound is closed-form)."""
@@ -255,6 +256,17 @@ def test_time_profile_fit_is_short(monkeypatch, alpha):
     assert sum(points) <= 200
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.99])
+def test_time_profile_refuses_a_density_short_of_mass(monkeypatch, alpha):
+    """A density that fits cleanly but holds mass 0.999 is refused before
+    any quadrature: the fit alone cannot tell it from the time law."""
+    density = solver.time_density_grid
+    monkeypatch.setattr(solver, "time_density_grid",
+                        lambda law, u: 0.999 * density(law, u))
+    with pytest.raises(ConvergenceError, match="mass"):
+        solver._TimeProfile(alpha)
+
+
 @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.1, 0.38, 0.5, 0.65, 0.9,
                                    0.99, 0.998])
 def test_survival_bound_covers_the_clamped_mass(alpha):
@@ -274,15 +286,43 @@ def test_survival_bound_underflows_to_zero():
     assert solver._survival_probability(0.99, 1e4) == 0.0
 
 
-@pytest.mark.parametrize("cap", [17, 20, 33, 40, 64, 65, 100, 769])
-def test_chebyshev_refusal_stays_within_the_cap(cap):
-    """A fit that cannot converge refuses on the last rung of the doubling
-    ladder that fits under the cap, never on one past it."""
+@pytest.mark.parametrize("npts", [17, 20, 33, 40, 64, 65, 100, 769])
+def test_chebyshev_refusal_stays_within_the_cap(npts):
+    """A fit that cannot converge refuses once the panel holding the kink
+    has been halved ``_FIT_MAX_SPLITS`` times, never past that, whatever
+    the degree: its last pass evaluates the two halves of width
+    ``2^-_FIT_MAX_SPLITS`` around the kink."""
+    calls = []
+
+    def kink(x):
+        calls.append(x)
+        return np.abs(x - 0.3)
+
     with pytest.raises(ConvergenceError) as err:
-        solver._Chebyshev(lambda x: np.abs(x - 0.3), (0.0, 1.0), 17, cap,
-                          1e-15, "kink")
-    named = int(re.search(r"with (\d+) nodes", str(err.value)).group(1))
-    assert named <= cap < 2 * named - 1
+        solver._Chebyshev(kink, (0.0, 1.0), npts, 1e-15, "kink")
+    assert f"after {solver._FIT_MAX_SPLITS} halvings" in str(err.value)
+    assert len(calls) == solver._FIT_MAX_SPLITS + 1
+    last = calls[-1]
+    assert np.ptp(last) == 2.0 ** (1 - solver._FIT_MAX_SPLITS)
+    assert last.min() < 0.3 < last.max()
+
+
+def test_chebyshev_halves_panels_at_a_narrow_peak():
+    """From one panel, halving clusters the narrowest panels at the peak
+    of a bump and leaves the fit within its tolerance everywhere."""
+    def bump(x):
+        return np.exp(-((x - 0.3) / 1e-2) ** 2)
+
+    fit = solver._Chebyshev(bump, (0.0, 1.0), 17, 1e-12, "bump")
+    width = np.diff(fit.edges)
+    assert 10 <= width.size <= 14
+    assert fit._coef.shape == (17, width.size)
+    mid = 0.5 * (fit.edges[1:] + fit.edges[:-1])
+    assert np.all(np.abs(mid[width == width.min()] - 0.3) < 0.01)
+    assert width.max() >= 32 * width.min()
+    xs = np.random.default_rng(3).uniform(0.0, 1.0, 20000)
+    assert fit.fit_err <= 1e-12
+    assert np.max(np.abs(fit(xs) - bump(xs))) <= 1e-12
 
 
 @pytest.mark.parametrize("alpha", [0.99, 0.995, 0.998])
@@ -395,6 +435,8 @@ def test_kernel_profile_matches_contour(n, sign):
     spec = EquationSpec(n, sign)
     kernel = solver._kernel_profile(n, spec.k)
     assert kernel.fit_err <= solver._KERNEL_FIT_TOL
+    assert kernel._coef.shape[0] == solver._KERNEL_NODES
+    assert kernel.contour_err < solver._KERNEL_TOL
     # so the fit's relative floor never lifts its tolerance
     assert kernel.sup < 1.0
     assert solver._FIT_REL_TOL * kernel.sup < solver._KERNEL_FIT_TOL
@@ -492,7 +534,7 @@ def test_kernel_profile_refusal_comes_before_quadrature(
                  "_v_integral"):
         monkeypatch.setattr(solver, name, forbidden)
     monkeypatch.setattr(solver, "_KERNEL_NODES", 5)
-    monkeypatch.setattr(solver, "_KERNEL_MAX_NODES", 9)
+    monkeypatch.setattr(solver, "_FIT_MAX_SPLITS", 0)
     req = SolutionRequest(EquationSpec(3), 0.5, 1.0, (0.0, 1.0),
                           route="subordination")
     with pytest.raises(ConvergenceError, match="kernel profile"):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -188,6 +189,26 @@ class TestMittagLeffler:
         # E_{1/2}(x) = exp(x^2) erfc(-x)
         expected = math.exp(x * x) * math.erfc(-x)
         assert _ml_one(x, 0.5).real == pytest.approx(expected, rel=1e-12)
+
+    def test_half_order_bars_hold(self):
+        """The Faddeeva branch against ``e^{z^2} erfc(-z)`` at 40 digits:
+        the Taylor disc, the band ``Re z^2 < 600`` out to ``|z| = 400``
+        (the diagonals included, where ``e^{z^2}`` amplifies the rounding
+        of ``z`` most), and the rays -1 and +-i."""
+        angles = np.linspace(-math.pi, math.pi, 48, endpoint=False)
+        disc = np.outer(np.sqrt(np.linspace(0.0, specfun._ML_F64_EXPONENT, 8)),
+                        np.exp(1j * angles[::4])).ravel()
+        band = np.outer(np.geomspace(math.sqrt(specfun._ML_F64_EXPONENT),
+                                     400.0, 30), np.exp(1j * angles)).ravel()
+        band = band[(band * band).real < 600.0]
+        rays = np.outer([-1.0, 1j, -1j], np.geomspace(0.1, 400.0, 40)).ravel()
+        zs = np.concatenate((disc, band, rays))
+        vals, errs = mittag_leffler_grid(zs, MLParams(alpha=0.5))
+        with mpmath.workdps(40):
+            for z, v, e in zip(zs, vals, errs):
+                w = mpmath.mpc(z.real, z.imag)
+                assert abs(v - complex(mpmath.exp(w * w)
+                                       * mpmath.erfc(-w))) <= e
 
     @pytest.mark.parametrize(
         "alpha, z, expected",
