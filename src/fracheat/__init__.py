@@ -16,7 +16,6 @@ and a finite-difference residual of the equation close the loop.
 from __future__ import annotations
 
 from ._errors import (
-    ContourError,
     ConvergenceError,
     DomainError,
     FracheatError,
@@ -52,7 +51,6 @@ __all__ = [
     "DomainError",
     "SeriesRangeError",
     "ConvergenceError",
-    "ContourError",
     "StencilUnderflowError",
     "EquationSpec",
     "make_equation_spec",

@@ -25,10 +25,6 @@ class ConvergenceError(FracheatError, RuntimeError):
     """An iterative scheme exhausted its budget before meeting tolerance."""
 
 
-class ContourError(FracheatError, RuntimeError):
-    """A rotated-contour integral was requested where the rotation is invalid."""
-
-
 class StencilUnderflowError(FracheatError, ArithmeticError):
     """A finite-difference stencil produced values below rounding noise.
 

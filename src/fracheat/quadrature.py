@@ -1,24 +1,16 @@
 """Adaptive quadrature engines used by the analytic routes.
 
-Three entry points:
-
 * :func:`integrate_adaptive` -- globally adaptive Gauss pair on a finite
   interval, for scalar, complex, or vector-valued integrands.
 * :func:`integrate_jacobi_singular` -- Gauss-Jacobi rules for integrands with
   an algebraic endpoint singularity, with node doubling and a hybrid split
   fallback.
-* :func:`kernel_contour_values` -- the signed heat-kernel integral
-  ``(1/pi) Re int_0^inf exp(i x z + k t (i z)^n) dz`` on an array of ``x``,
-  by cosine reduction for even ``n`` and by rotating the tail onto a
-  decaying ray for odd ``n``.
-
-plus :func:`euler_tail_sum`, an iterated-averaging summer for the slowly
-decaying (or polynomially growing) alternating block sums that oscillatory
-tails produce.
+* :func:`euler_tail_sum` -- an iterated-averaging summer for the slowly
+  decaying (or polynomially growing) alternating block sums that
+  oscillatory tails produce.
 
 The two integrators report a :class:`QuadResult` carrying the value, an
-error estimate, and the number of integrand evaluations spent;
-:func:`kernel_contour_values` returns the same three as a tuple.
+error estimate, and the number of integrand evaluations spent.
 """
 from __future__ import annotations
 
@@ -31,12 +23,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import roots_jacobi
 
-from ._errors import (
-    ContourError,
-    ConvergenceError,
-    DomainError,
-    require_positive,
-)
+from ._errors import ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-9
 
@@ -287,131 +274,3 @@ def integrate_jacobi_singular(f, a: float, b: float, weight: JacobiWeight,
         error_estimate=smooth_err + sing.error_estimate,
         evaluations=evals + smooth_evals + sing.evaluations,
     )
-
-
-# ---------------------------------------------------------------------------
-# Signed heat-type kernel contour integral
-# ---------------------------------------------------------------------------
-
-def _even_kernel_values(n: int, x, t: float, tol: float):
-    """Vectorized ``(1/pi) int_0^inf exp(-t z^n) cos(x z) dz`` for even n.
-
-    For even ``n`` and the sign convention that makes the semigroup
-    well-posed, ``k (i z)^n = -z^n`` on the real axis, so no contour work is
-    needed.  ``x`` may be an array; one shared adaptive pass integrates all
-    components at once.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    z_cut = (45.0 / t) ** (1.0 / n)
-
-    def f(z):
-        return np.exp(-t * z[:, None] ** n) * np.cos(np.outer(z, x))
-
-    value, err, evals = _adaptive(f, 0.0, z_cut, tol * math.pi, EVAL_BUDGET)
-    return value / math.pi, err / math.pi, evals
-
-
-def _odd_kernel_values(n: int, k: int, x, t: float, tol: float,
-                       radius_scale: float = 1.0):
-    """Vectorized signed kernel for odd n via tail rotation.
-
-    Writes ``p = (1/pi) Re int_0^inf g(z) dz`` with
-    ``g(z) = exp(i x z + k t (i z)^n)`` and splits at a radius R beyond any
-    stationary point:  the head stays on the real axis, the tail is rotated
-    onto the ray ``z = r exp(i phi)`` where the ``z^n`` term decays, and the
-    connecting arc at radius R is kept (it is not negligible for moderate R).
-    ``x`` may be an array sharing one contour; R is chosen for the worst
-    component.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    gamma = k * (-1.0) ** ((n - 1) // 2)  # exp(i gamma pi/2) = k * i^n
-    phi = gamma * math.pi / (2.0 * n)
-    # Check the ray really decays: Re[k (i z)^n] on the ray has the factor
-    # cos(gamma pi/2 + n phi) = cos(gamma pi) = -1 for odd n.
-    if math.cos(gamma * math.pi / 2.0 + n * phi) > -0.5:
-        raise ContourError(f"tail rotation invalid for n={n}, sign={k}")
-
-    xmax = float(np.max(np.abs(x)))
-    z_star = (xmax / (n * t)) ** (1.0 / (n - 1.0)) if xmax > 0 else 0.0
-    radius = max((1.0 / t) ** (1.0 / n), 1.25 * z_star, 1e-3) * radius_scale
-
-    def g(z):
-        # z: complex array of contour points; returns shape (len(z), len(x))
-        zc = np.asarray(z, dtype=complex)
-        return np.exp(1j * np.outer(zc, x) + k * t * (1j * zc[:, None]) ** n)
-
-    part_tol = tol * math.pi / 3.0
-    # Head: real axis from 0 to R; seed the panel heap with roughly one
-    # panel per oscillation cycle so the first error estimate is honest.
-    cycles = (xmax * radius + t * radius ** n) / (2.0 * math.pi)
-    head_panels = min(512, max(4, int(cycles) + 1))
-    head, head_err, head_evals = _adaptive(
-        g, 0.0, radius, part_tol, EVAL_BUDGET, initial_intervals=head_panels)
-
-    # Arc: z = R e^{i psi}, psi from 0 to phi; dz = i R e^{i psi} d psi.
-    def arc_integrand(psi):
-        zpts = radius * np.exp(1j * np.asarray(psi))
-        return g(zpts) * (1j * zpts)[:, None]
-
-    lo_psi, hi_psi = (0.0, phi) if phi > 0 else (phi, 0.0)
-    arc, arc_err, arc_evals = _adaptive(
-        arc_integrand, lo_psi, hi_psi, part_tol, EVAL_BUDGET - head_evals)
-    if phi < 0:
-        arc = -arc
-
-    # Ray: z = r e^{i phi}, r from R outward.  On the ray
-    # |g| = exp(-x r sin(phi) + t r^n cos(gamma pi/2 + n phi)) and the cosine
-    # equals -1 by construction; find a cutoff where the exponent is below
-    # -45 for the worst x.
-    sin_abs_phi = abs(math.sin(phi))
-    cos_decay = -math.cos(gamma * math.pi / 2.0 + n * phi)
-    r_far = radius
-    for _ in range(200):
-        expo = xmax * r_far * sin_abs_phi - t * r_far ** n * cos_decay
-        if expo < -45.0:
-            break
-        r_far *= 1.5
-
-    eiphi = complex(math.cos(phi), math.sin(phi))
-
-    def ray_integrand(r):
-        zpts = np.asarray(r) * eiphi
-        return g(zpts) * eiphi
-
-    ray, ray_err, ray_evals = _adaptive(
-        ray_integrand, radius, r_far, part_tol,
-        EVAL_BUDGET - head_evals - arc_evals, initial_intervals=8)
-
-    total = (head + arc + ray) / math.pi
-    err = (head_err + arc_err + ray_err) / math.pi
-    return np.real(total), err, head_evals + arc_evals + ray_evals
-
-
-def kernel_contour_values(n: int, sign: int, x, t: float,
-                          tol: float = DEFAULT_TOL, *,
-                          radius_scale: float = 1.0):
-    """Shared-contour kernel values for an array of space points.
-
-    Returns ``(values, error_estimate, evaluations)`` with ``values`` shaped
-    like ``x``; panel refinement is shared across the whole array, within
-    a budget of ``EVAL_BUDGET`` evaluations.  For even ``n`` the integrand
-    reduces to ``exp(-t z^n) cos(x z)`` on the real axis.  For odd ``n``
-    the oscillatory tail is rotated onto the decaying ray at angle
-    ``sign(gamma) * pi / (2 n)`` together with the finite connecting arc; :class:`ContourError` is raised if that ray
-    does not decay.  ``radius_scale`` perturbs the head/ray split radius
-    for odd ``n`` (the result must not depend on it; exposed so tests can
-    verify that).
-    """
-    require_positive(t, "time")
-    if n < 2:
-        raise DomainError(f"spatial order {n} must be >= 2")
-    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if n % 2 == 0:
-        vals, err, evals = _even_kernel_values(n, x_arr, t, tol)
-    else:
-        if sign not in (-1, 1):
-            raise DomainError(f"odd-order sign must be +-1, got {sign}")
-        vals, err, evals = _odd_kernel_values(n, sign, x_arr, t, tol,
-                                              radius_scale=radius_scale)
-    return vals, err, evals
-

@@ -79,13 +79,11 @@ _FIT_REL_TOL = 1e-13
 _FIT_MAX_SPLITS = 10
 
 #: kernel profile: caps on a starting panel's width and stationary-phase
-#: increment, Chebyshev nodes per panel, points per contour call while
-#: building, and the fit tolerance (the contour's own rounding sits near
-#: 1e-14)
+#: increment, Chebyshev nodes per panel, and the fit tolerance (the
+#: contour's own rounding sits near 1e-14)
 _KERNEL_PANEL = 4.0
 _KERNEL_PHASE = 6.0
 _KERNEL_NODES = 20
-_KERNEL_CHUNK = 256
 _KERNEL_FIT_TOL = 1e-13
 
 #: the oscillatory-side head starts at this stationary-phase angle
@@ -273,22 +271,21 @@ class _KernelProfile(_Chebyshev):
     side out to ``clip_abs``, where the saddle bound puts it below
     ``e^-70``, and the oscillatory side of odd ``n`` (sign ``osc_dir``, 0
     for even ``n``) out to the last of the ``osc_edges`` that
-    :meth:`head` sums over; beyond those points it is zero.  The contour
-    runs in chunks sorted by ``|y|``, because each call sizes its contour
-    for its largest point; ``contour_err`` is the largest error estimate
-    of those calls.
+    :meth:`head` sums over; beyond those points it is zero.  Each fitting
+    pass takes its values from one :func:`kernel_density_grid` call;
+    ``contour_err`` is the largest error estimate of those calls.
     """
 
     def __init__(self, n: int, k: int) -> None:
         self.spec = make_equation_spec(n, k)
         self.contour_err = 0.0
-        c, nu = _decay_rate(n, 1.0)
+        c, nu = _decay_rate(n)
         self.clip_abs = (_DECAY_CLIP_LOG / c) ** (1.0 / nu)
         self.osc_dir = self.spec.osc_dir
         lo, hi = -self.clip_abs, self.clip_abs
         if self.osc_dir:
             self.osc_edges = _phase_point(
-                n, 1.0, _OSC_PHASE0 + math.pi * np.arange(_OSC_BLOCKS + 1))
+                n, _OSC_PHASE0 + math.pi * np.arange(_OSC_BLOCKS + 1))
             if self.osc_dir > 0:
                 hi = float(self.osc_edges[-1])
             else:
@@ -301,26 +298,23 @@ class _KernelProfile(_Chebyshev):
             while cuts[-1] < end:
                 m = len(cuts)
                 cuts.append(min(m * _KERNEL_PANEL,
-                                _phase_point(n, 1.0, m * _KERNEL_PHASE)))
+                                _phase_point(n, m * _KERNEL_PHASE)))
             return np.append(cuts[1:-1], end)
 
+        def contour(ys):
+            values, err, _ = kernel_density_grid(self.spec, ys, 1.0,
+                                                 _KERNEL_TOL)
+            self.contour_err = max(self.contour_err, err)
+            return values
+
         edges = np.concatenate((-side(-lo)[::-1], [0.0], side(hi)))
-        super().__init__(self._contour, edges, _KERNEL_NODES, _KERNEL_FIT_TOL,
+        super().__init__(contour, edges, _KERNEL_NODES, _KERNEL_FIT_TOL,
                          f"kernel profile of n={n}, k={k}")
         if self.osc_dir:
             # the phase blocks' nodes, with the profile taken on them once
             self._osc_nodes, self._osc_weights = _gl_panels(self.osc_edges,
                                                             _GL_OSC)
             self._osc_vals = self(self.osc_dir * self._osc_nodes)
-
-    def _contour(self, ys: np.ndarray) -> np.ndarray:
-        out = np.empty_like(ys)
-        order = np.argsort(np.abs(ys))
-        for chunk in np.array_split(order, -(-ys.size // _KERNEL_CHUNK)):
-            out[chunk], err, _ = kernel_density_grid(self.spec, ys[chunk],
-                                                     1.0, _KERNEL_TOL)
-            self.contour_err = max(self.contour_err, float(err))
-        return out
 
     def head(self, ys: np.ndarray, weight, j0: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -738,7 +732,7 @@ def solve(request: SolutionRequest, *, tol: float = 1e-8) -> SolutionField:
     mapped grid, with every absolute tolerance divided by ``s``.  At
     ``alpha = 1`` the time law is a point mass, and for odd ``n`` the
     characteristic function a pure phase, so there the solution is the
-    kernel itself.
+    kernel itself, and ``route_used`` reads ``"subordination"``.
     """
     require_positive(tol, "tol")
     spec, alpha, n = request.spec, request.alpha, request.spec.n
@@ -751,6 +745,7 @@ def solve(request: SolutionRequest, *, tol: float = 1e-8) -> SolutionField:
         values, kerr, _ = kernel_density_grid(spec, ys, 1.0,
                                               min(tol, 1e-10) / s)
         errors = np.full(ys.size, float(kerr))
+        route = "subordination"
     elif route == "fourier_ml":
         values, errors = _fourier_invert(spec, alpha, ys, tol / s)
     else:

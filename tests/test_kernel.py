@@ -21,6 +21,7 @@ from fracheat.kernel import (
     EquationSpec,
     _decay_rate,
     _superexp_cutoff,
+    kernel_contour_values,
     kernel_density_grid,
     kernel_laplace,
     kernel_moment,
@@ -28,7 +29,7 @@ from fracheat.kernel import (
     make_equation_spec,
     root_system,
 )
-from fracheat.quadrature import integrate_adaptive, kernel_contour_values
+from fracheat.quadrature import integrate_adaptive
 
 
 def gaussian_kernel(x, t):
@@ -309,9 +310,9 @@ class TestKernelMomentNumeric:
         """The tail estimate holds only past the peak of
         ``x^r exp(-c x^nu)``; a large tolerance once let the fixed point
         settle before it (n = 2, r = 172: 2.8 against a peak at 18.5)."""
-        c, nu = _decay_rate(n, 1.0)
+        c, nu = _decay_rate(n)
         mag = math.exp(math.lgamma(r + 1.0) - math.lgamma(r / n + 1.0))
-        cut = _superexp_cutoff(n, 1.0, r, 0.3e-9 * mag)
+        cut = _superexp_cutoff(n, r, 0.3e-9 * mag)
         assert cut >= (r / (c * nu)) ** (1.0 / nu)
 
 
@@ -351,8 +352,7 @@ class TestKernelLaplace:
         spec = make_equation_spec(n, sign)
 
         def g(taus):
-            vals, _, _ = kernel_contour_values(n, spec.k, x / taus, 1.0,
-                                               1e-11)
+            vals, _, _ = kernel_contour_values(spec, x / taus, 1e-11)
             return np.exp(-s * taus ** n) * vals * n * taus ** (n - 2.0)
 
         tau_hi = (45.0 / s) ** (1.0 / n)

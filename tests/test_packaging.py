@@ -117,3 +117,32 @@ def test_every_private_constant_is_read():
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
     assert assigned, "no private constant found"
     assert sorted(assigned - read) == []
+
+
+def test_every_private_definition_is_read(monkeypatch):
+    """No dead private code: each module-level ``def _x`` or ``class _X``
+    in ``src/fracheat`` is read in its own module, imported by name from
+    it, or read as an attribute somewhere in the package, or else wrapped
+    by a probe of ``bench/tracer.py`` on that module.  Checked per module,
+    so a stale copy left beside a moved function is caught."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    probed = {(p.module, p.attr)
+              for p in importlib.import_module("tracer").PROBES}
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted((SRC / "fracheat").glob("*.py"))}
+    defined = {(module, node.name) for module, tree in trees.items()
+               for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name.startswith("_")}
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add((module, node.id))
+            elif isinstance(node, ast.Attribute):
+                read.update((m, node.attr) for m in trees)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                read.update((node.module, alias.name)
+                            for alias in node.names)
+    assert defined, "no private definition found"
+    assert sorted(defined - read - probed) == []

@@ -13,16 +13,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
-from fracheat._errors import ContourError, ConvergenceError, DomainError
+from fracheat import kernel
+from fracheat._errors import ConvergenceError, DomainError
+from fracheat.kernel import (
+    EquationSpec,
+    kernel_contour_values,
+    kernel_density_grid,
+    make_equation_spec,
+)
 from fracheat.quadrature import (
     JacobiWeight,
     euler_tail_sum,
     integrate_adaptive,
     integrate_jacobi_singular,
-    kernel_contour_values,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -129,21 +135,26 @@ class TestJacobiSingular:
 
 
 class TestOscillatoryRay:
-    def test_gaussian_center(self):
-        vals, _, _ = kernel_contour_values(2, 1, 0.0, 1.0, 1e-10)
-        assert_allclose(vals[0], 1.0 / math.sqrt(4.0 * math.pi), atol=1e-10)
+    """The kernel contour, ``kernel.kernel_contour_values`` at ``t = 1``,
+    and through ``kernel_density_grid`` at other times."""
+
+    @pytest.mark.parametrize("t", [1.0 / 3.0, 1.0, 7.0])
+    @pytest.mark.parametrize("n, sign", [
+        (n, s) for n in range(2, 9) for s in ((1, -1) if n % 2 else (1,))])
+    def test_origin_closed_form(self, n, sign, t):
+        # p_n(0, t) = t^(-1/n) Gamma(1 + 1/n) c_n / pi, with c_n = 1 for
+        # even n and cos(pi / (2n)) for odd n; the frozen oracle values at
+        # the origin (n = 2..5) agree with it to 2e-16
+        c_n = 1.0 if n % 2 == 0 else math.cos(math.pi / (2.0 * n))
+        vals, _, _ = kernel_density_grid(EquationSpec(n, sign), 0.0, t,
+                                         1e-10)
+        assert_allclose(vals[0], t ** (-1.0 / n) * math.gamma(1.0 + 1.0 / n)
+                        * c_n / math.pi, rtol=0.0, atol=1e-10)
 
     def test_gaussian_offcenter(self):
-        vals, _, _ = kernel_contour_values(2, 1, 2.0, 1.0, 1e-10)
+        vals, _, _ = kernel_contour_values(EquationSpec(2), 2.0, 1e-10)
         assert_allclose(vals[0], math.exp(-1.0) / math.sqrt(4.0 * math.pi),
                         atol=1e-10)
-
-    def test_third_order_at_origin(self):
-        # frozen from a finite-cutoff oscillatory quadrature oracle with
-        # Richardson extrapolation in the cutoff; the value coincides with
-        # the Airy function at 0 once rescaled by (3t)^{1/3}.
-        vals, _, _ = kernel_contour_values(3, 1, 0.0, 1.0 / 3.0, 1e-10)
-        assert_allclose(vals[0], 0.3550280538878172, atol=1e-9)
 
     @pytest.mark.parametrize("x, t, expected", [
         # frozen from extended-precision rotated-contour integration
@@ -152,12 +163,12 @@ class TestOscillatoryRay:
         (-1.5, 1.0, 0.3040158738216629),
     ])
     def test_fifth_order_values(self, x, t, expected):
-        vals, _, _ = kernel_contour_values(5, 1, x, t, 1e-10)
+        vals, _, _ = kernel_density_grid(EquationSpec(5, 1), x, t, 1e-10)
         assert_allclose(vals[0], expected, atol=1e-9)
 
     def test_fifth_order_mirror_symmetry(self):
-        plus, _, _ = kernel_contour_values(5, 1, -1.5, 1.0, 1e-10)
-        minus, _, _ = kernel_contour_values(5, -1, 1.5, 1.0, 1e-10)
+        plus, _, _ = kernel_contour_values(EquationSpec(5, 1), -1.5, 1e-10)
+        minus, _, _ = kernel_contour_values(EquationSpec(5, -1), 1.5, 1e-10)
         assert_allclose(plus[0], minus[0], atol=1e-10)
 
     @pytest.mark.parametrize("x, t, expected", [
@@ -168,16 +179,15 @@ class TestOscillatoryRay:
         (4.0, 1.0, -0.02258719805410781),
     ])
     def test_fourth_order_values(self, x, t, expected):
-        # k_4 = -1 is the well-posed sign; the engine bakes it into the
-        # even-n reduction, so the sign argument is ignored for even n.
-        vals, _, _ = kernel_contour_values(4, -1, x, t, 1e-11)
+        # k_4 = -1 is the well-posed sign; EquationSpec derives it
+        vals, _, _ = kernel_density_grid(EquationSpec(4), x, t, 1e-11)
         assert_allclose(vals[0], expected, atol=1e-10)
 
     def test_even_matches_independent_cosine_path(self):
         # Two code paths: the contour engine versus QUADPACK's semi-infinite
         # integral of e^{-t z^n} cos(x z) / pi.
         for x in (0.0, 0.7, 2.2):
-            ray, _, _ = kernel_contour_values(4, -1, x, 1.0, 1e-11)
+            ray, _, _ = kernel_contour_values(EquationSpec(4), x, 1e-11)
             direct, _ = quad(
                 lambda z: math.exp(-z ** 4) * math.cos(x * z) / math.pi,
                 0.0, np.inf, epsabs=1e-13, epsrel=1e-13)
@@ -185,26 +195,41 @@ class TestOscillatoryRay:
 
     @pytest.mark.parametrize("x", [-3.0, -0.5, 0.0, 1.0, 4.0])
     def test_split_radius_invariance(self, x):
-        base, _, _ = kernel_contour_values(3, 1, x, 1.0, 1e-10)
-        moved, _, _ = kernel_contour_values(3, 1, x, 1.0, 1e-10,
-                                            radius_scale=1.1)
+        spec = EquationSpec(3, 1)
+        base, _, _ = kernel_contour_values(spec, x, 1e-10)
+        moved, _, _ = kernel_contour_values(spec, x, 1e-10, radius_scale=1.1)
         assert abs(base[0] - moved[0]) <= 1e-8
 
     def test_batch_matches_pointwise(self):
+        spec = EquationSpec(3, 1)
         xs = np.linspace(-4.0, 4.0, 17)
-        vals, err, _ = kernel_contour_values(3, 1, xs, 1.0, 1e-10)
+        vals, err, _ = kernel_contour_values(spec, xs, 1e-10)
         for i in (0, 5, 11, 16):
-            single, _, _ = kernel_contour_values(3, 1, float(xs[i]), 1.0,
-                                                 1e-10)
+            single, _, _ = kernel_contour_values(spec, float(xs[i]), 1e-10)
+            assert_allclose(vals[i], single[0], atol=1e-8)
+        # a grid of three chunks: one contour per chunk of |y|, the largest
+        # chunk error, and the evaluations of all chunks
+        ys = np.random.default_rng(3).uniform(-30.0, 30.0, 600)
+        vals, err, evals = kernel_contour_values(spec, ys, 1e-10)
+        chunks = np.array_split(np.argsort(np.abs(ys)),
+                                -(-ys.size // kernel._CONTOUR_CHUNK))
+        assert len(chunks) == 3
+        parts = [kernel_contour_values(spec, ys[c], 1e-10) for c in chunks]
+        for c, (part, _, _) in zip(chunks, parts):
+            assert_array_equal(vals[c], part)
+        assert err == max(part_err for _, part_err, _ in parts)
+        assert evals == sum(part_evals for _, _, part_evals in parts)
+        for i in (0, 199, 200, 401, 599):
+            single, _, _ = kernel_contour_values(spec, float(ys[i]), 1e-10)
             assert_allclose(vals[i], single[0], atol=1e-8)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
-            kernel_contour_values(3, 1, 0.0, -1.0)
+            kernel_density_grid(EquationSpec(3), 0.0, -1.0)
         with pytest.raises(DomainError):
-            kernel_contour_values(1, 1, 0.0, 1.0)
+            make_equation_spec(1, 1)
         with pytest.raises(DomainError):
-            kernel_contour_values(3, 2, 0.0, 1.0)
+            make_equation_spec(3, 2)
 
 
 class TestEulerTailSum:

@@ -23,7 +23,7 @@ from dataclasses import replace
 import mpmath
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import simpson
 from scipy.special import gamma as gamma_fn
 
@@ -556,6 +556,20 @@ def test_route_dispatch():
     pinned = solve(SolutionRequest(EquationSpec(2), 0.6, 1.0, xs,
                                    route="subordination"))
     assert pinned.route_used == "subordination"
+
+
+def test_route_used_names_the_kernel_at_alpha_one():
+    """At alpha = 1 an odd-n Fourier request is served by the kernel
+    contour, and says so; even n still inverts the transform."""
+    xs = (-1.0, 0.0, 2.0)
+    odd = solve(SolutionRequest(EquationSpec(3), 1.0, 1.0, xs,
+                                route="fourier_ml"))
+    assert odd.route_used == "subordination"
+    assert_array_equal(odd.values, solve_by("subordination",
+                                            odd.request).values)
+    even = solve(SolutionRequest(EquationSpec(2), 1.0, 1.0, xs,
+                                 route="fourier_ml"))
+    assert even.route_used == "fourier_ml"
 
 
 @pytest.mark.parametrize("kwargs", [
