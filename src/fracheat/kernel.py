@@ -9,10 +9,14 @@ moment route used to cross-validate them.
 
 The kernel is self-similar, ``p_n(x, t) = t^(-1/n) p_n(x t^(-1/n), 1)``,
 so the contour runs at ``t = 1`` only: :func:`kernel_density_grid` and
-:func:`kernel_moment_numeric` map every other ``t`` onto it.  For even
-``n`` the contour is the real axis; for odd ``n`` it is a head on the
-real axis up to a radius ``R`` past every stationary point, then the ray
-from ``R`` on which the ``z^n`` term decays.
+:func:`kernel_moment_numeric` map every other ``t`` onto it.  Each point
+has its own path and a fixed rule, so its cost does not grow with
+``|x|`` (numerical steepest descent: Huybrechs & Vandewalle, SIAM J.
+Numer. Anal. 44 (2006) 1026-1048).  The path is a ray from 0 into a
+valley of ``k (i z)^n``, summed by two Gauss-Legendre rules; on the
+oscillatory side of odd ``n`` past ``|x| = 2n`` it is the ray into the
+valley across the real axis, then the steepest-descent path through the
+real saddle, summed by the trapezoidal rule and its midpoint rule.
 
 Well-posedness forces ``k_n = (-1)^{q+1}`` for even ``n = 2q``; for odd
 ``n`` both signs give well-defined kernels that are mirror images of each
@@ -22,15 +26,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-
+from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from ._errors import DomainError, require_positive
+from ._errors import ConvergenceError, DomainError, require_positive
 from .quadrature import (
     DEFAULT_TOL,
-    EVAL_BUDGET,
     QuadResult,
     euler_tail_sum,
     integrate_adaptive,
@@ -126,96 +130,295 @@ def root_system(spec: EquationSpec) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# The kernel at t = 1: contour integral
+# The kernel at t = 1: a fixed path per point
 # ---------------------------------------------------------------------------
 
-#: points per contour, taken in order of |x|: each contour is sized for
-#: the largest |x| it serves
-_CONTOUR_CHUNK = 256
+#: a ray ends where the bound ``exp(Re h)`` on its integrand is e^-_RAY_LOG
+_RAY_LOG = 38.0
+
+#: the steepest-descent leg: trapezoidal step in ``s`` (where
+#: ``h(z) = h(z0) - s^2``), its cutoff ``|s| <= _SADDLE_S`` (``e^-s^2`` is
+#: below 1e-16 past it) and Newton steps per node; it serves the
+#: oscillatory side of odd ``n`` past ``|y| = _SADDLE_SWITCH n``
+_SADDLE_STEP = 0.3
+_SADDLE_S = 6.1
+_SADDLE_NEWTON = 2
+_SADDLE_SWITCH = 2.0
+
+#: nodes of one leg: both rules, at s = j _SADDLE_STEP / 2, |s| <= _SADDLE_S
+_SADDLE_NODES = 2 * math.ceil(2.0 * _SADDLE_S / _SADDLE_STEP) + 1
+
+#: elements of one (points x nodes) pass, as in the subordination
+#: evaluator: 128 kB per float array
+_PATH_CHUNK = 1 << 14
+
+_EPS = float(np.finfo(float).eps)
 
 
-def _even_kernel_values(n: int, x: np.ndarray, tol: float):
-    """``(1/pi) int_0^inf exp(-z^n) cos(x z) dz`` for even ``n``, where
-    ``k (i z)^n = -z^n`` on the real axis; one shared adaptive pass
-    integrates every component of ``x``."""
-    def f(z):
-        return np.exp(-z[:, None] ** n) * np.cos(np.outer(z, x))
-
-    res = integrate_adaptive(f, 0.0, 45.0 ** (1.0 / n), tol * math.pi)
-    return res.value / math.pi, res.error_estimate / math.pi, res.evaluations
-
-
-def _odd_kernel_values(n: int, k: int, x: np.ndarray, tol: float,
-                       radius_scale: float):
-    """``(1/pi) Re int_0^inf g(z) dz`` with ``g(z) = exp(i x z + k (i z)^n)``
-    for odd ``n``: the real axis up to a radius ``R`` past every
-    stationary point, then the ray ``z = R + r e^{i phi}`` whose direction
-    ``phi = gamma pi / (2n)`` makes the ``z^n`` term decay.  Every term of
-    the binomial expansion of ``Re[k (i z)^n]`` on that ray is at most 0,
-    the ``r^n`` one exactly ``-r^n``, so ``|g| <= exp(|x| r |sin phi| - r^n)``
-    and the integrand decays from ``r = 0`` on."""
-    gamma = k * (-1.0) ** ((n - 1) // 2)  # exp(i gamma pi/2) = k * i^n
-    phi = gamma * math.pi / (2.0 * n)
-    xmax = float(np.max(np.abs(x)))
-    radius = max(1.0, 1.25 * (xmax / n) ** (1.0 / (n - 1.0))) * radius_scale
-
-    def g(z):
-        # z: contour points (real on the head); shape (len(z), len(x))
-        return np.exp(1j * np.outer(z, x) + k * (1j * z[:, None]) ** n)
-
-    part_tol = 0.5 * tol * math.pi
-    # seed the head with roughly one panel per oscillation cycle, so that
-    # the first error estimate is honest
-    cycles = (xmax * radius + radius ** n) / (2.0 * math.pi)
-    panels = min(512, max(4, int(cycles) + 1))
-    head = integrate_adaptive(g, 0.0, radius, part_tol,
-                              initial_intervals=panels)
-
-    # a cutoff where the bound on |g| is below e^-45 for the worst x
-    sin_abs_phi = abs(math.sin(phi))
-    r_far = radius
-    for _ in range(200):
-        if xmax * r_far * sin_abs_phi - r_far ** n < -45.0:
-            break
-        r_far *= 1.5
-
-    eiphi = complex(math.cos(phi), math.sin(phi))
-    ray = integrate_adaptive(lambda r: g(radius + r * eiphi) * eiphi,
-                             0.0, r_far, part_tol,
-                             budget=EVAL_BUDGET - head.evaluations,
-                             initial_intervals=8)
-    return (np.real(head.value + ray.value) / math.pi,
-            (head.error_estimate + ray.error_estimate) / math.pi,
-            head.evaluations + ray.evaluations)
+@lru_cache(maxsize=32)
+def _ray_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Both Gauss-Legendre rules of a ray of order ``n`` on ``[0, 1]``, one
+    after the other: nodes ``x``, weights, ``x^n``, and the size of the
+    first.  Far out a ray carries about ``_RAY_LOG cot(theta)`` radians of
+    phase, whatever ``|y|``, so an even ray (``theta = pi/(4n)``) needs
+    more nodes than an odd one (``pi/(2n)``); at these sizes both rules
+    have converged to rounding over every point the kernel profile
+    reads."""
+    m = (12 if n % 2 == 0 else 8) * n + 24
+    x, w = np.concatenate([_gauss_legendre(size) for size in (m, m + 16)],
+                          axis=1)
+    x = 0.5 * (x + 1.0)
+    return x, 0.5 * w, x ** n, m
 
 
-def kernel_contour_values(spec: EquationSpec, x, tol: float = DEFAULT_TOL, *,
-                          radius_scale: float = 1.0):
+def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``leggauss(m)`` with its nodes polished by Newton steps on the
+    three-term recurrence and the weights taken from ``P_m'``.  The
+    weights of ``leggauss`` next to the ends, where a ray's integrand is
+    largest, are off by up to 7e-12 relative at ``m = 136``; these by
+    2e-13, about the rounding of their nodes."""
+    x = leggauss(m)[0]
+    for newton in (True, True, False):
+        p0, p1, dp = np.ones(m), x, np.ones(m)
+        for k in range(2, m + 1):
+            dp = x * dp + k * p1
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        if newton:
+            x = x - p1 / dp
+    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
+
+
+def _ray(n: int, y: np.ndarray, theta: np.ndarray, cn: complex,
+         deriv: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Re int (i z)^deriv exp(i y z + c z^n) dz`` from 0 along the ray
+    ``z = r e^{i theta}`` of every point, on ``[0, R]`` by both rules of
+    :func:`_ray_rules`; ``cn = c e^{i n theta}`` is the same on every
+    ray, with ``Re cn < 0``.
+
+    On a ray ``Re h = -a r + Re(cn) r^n`` with ``a = y sin(theta)``, which
+    is concave, so ``R`` is where it last falls to ``-_RAY_LOG``.  Returns
+    the finer rule's sums and each point's bar: the two rules' difference,
+    the rounding, ``eps (8 + |Re h| + |Im h|)`` times each term's modulus
+    (an exponent is rounded relative to its own size), and the tail past
+    ``R``, bounded from the slope of the log-modulus there.
+    """
+    rho = -cn.real
+    a = y * np.sin(theta)
+    # where a > 0, the first of a r and rho r^n to reach _RAY_LOG
+    radius = _RAY_LOG / np.maximum(a, _RAY_LOG ** (1.0 - 1.0 / n)
+                                   * rho ** (1.0 / n))
+    if a.min() < 0.0:
+        # from below to the root past the hump, contracting by 1/n or more
+        grow = a < 0.0
+        a_g, r = a[grow], radius[grow]
+        for _ in range(20):
+            r = ((_RAY_LOG - a_g * r) / rho) ** (1.0 / n)
+        radius[grow] = r
+    pw = radius ** n
+    edge, slope = a * radius + rho * pw, a + n * rho * pw / radius
+    if deriv:
+        edge, slope = edge - deriv * np.log(radius), slope - deriv / radius
+    tail = np.exp(-edge) / slope
+
+    x, w, xn, m = _ray_rules(n)
+    lin_re, lin_im = -a * radius, y * np.cos(theta) * radius
+    phase = theta + deriv * (theta + 0.5 * math.pi)
+    sums, rounding = np.empty((2, y.size)), np.empty(y.size)
+    rows = max(1, _PATH_CHUNK // x.size)
+    for c in range(0, y.size, rows):
+        sl = slice(c, c + rows)
+        re = lin_re[sl, None] * x + (cn.real * pw[sl, None]) * xn
+        im = (lin_im[sl, None] * x + (cn.imag * pw[sl, None]) * xn
+              + phase[sl, None])
+        mod = np.exp(re) * (radius[sl, None] * w)
+        if deriv:
+            mod *= (radius[sl, None] * x) ** deriv
+        terms = mod * np.cos(im)
+        sums[0, sl] = terms[:, :m].sum(axis=1)
+        sums[1, sl] = terms[:, m:].sum(axis=1)
+        rounding[sl] = (mod * (8.0 - re + np.abs(im)))[:, m:].sum(axis=1)
+    return sums[1], np.abs(sums[1] - sums[0]) + _EPS * rounding + tail
+
+
+@lru_cache(maxsize=32)
+def _saddle_poly(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients, lowest first, of ``P(u) = ((1+u)^n - 1 - n u) / u^2``
+    and of ``Q = 2 P + u P'``: ``(1+u)^n - n (1+u) + n - 1 = u^2 P(u)``
+    holds with no cancellation near ``u = 0``."""
+    ks = range(2, n + 1)
+    return (np.array([math.comb(n, k) for k in ks], dtype=float),
+            np.array([k * math.comb(n, k) for k in ks], dtype=float))
+
+
+def _horner(coef: np.ndarray, u: np.ndarray) -> np.ndarray:
+    out = coef[-1]
+    for c in coef[-2::-1]:
+        out = out * u + c
+    return out
+
+
+#: 2 pi as a float, and the float nearest what it leaves over
+_TWO_PI = (6.283185307179586, 2.4492935982947064e-16)
+
+
+def _halves(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split of ``v`` into two floats of 26 bits each."""
+    c = 134217729.0 * v  # 2^27 + 1
+    hi = c - (c - v)
+    return hi, v - hi
+
+
+def _two_prod(a: np.ndarray, b) -> tuple[np.ndarray, np.ndarray]:
+    """``(p, e)`` with ``a b = p + e`` exactly (Dekker's product)."""
+    p = a * b
+    (a1, a2), (b1, b2) = _halves(a), _halves(b)
+    return p, ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+
+
+def _saddle_phase(n: int, ya: np.ndarray, z0: np.ndarray) -> np.ndarray:
+    """``Im h(z0) = z0^n - ya z0`` in double-double arithmetic, reduced to
+    about ``[-pi, pi]``.  Near 250 at the far end of the kernel profile,
+    it would carry 3e-14 of float64 rounding into every value there."""
+    hi, lo = z0, 0.0
+    for _ in range(n - 1):
+        hi, err = _two_prod(hi, z0)
+        lo = lo * z0 + err
+    q, f = _two_prod(ya, z0)
+    s = hi - q
+    back = s - hi
+    lo = lo + ((hi - (s - back)) - (q + back)) - f
+    k = np.rint(s / _TWO_PI[0])
+    p, e = _two_prod(k, _TWO_PI[0])
+    return ((s - p) - e) + (lo - k * _TWO_PI[1])
+
+
+def _saddle_leg(n: int, ya: np.ndarray, deriv: int):
+    """``int (i z)^deriv e^{h(z)} dz`` with ``h(z) = -i ya z + i z^n`` on the
+    steepest-descent path through the real saddle ``z0 = (ya/n)^(1/(n-1))``,
+    from the valley at angle ``-3 pi/(2n)`` to the one at ``pi/(2n)``.
+
+    With ``z = z0 (1 + u)`` and ``lam = z0^n`` the path is
+    ``h(z) = h(z0) - s^2``, that is ``i u^2 P(u) + sigma^2 = 0`` with
+    ``sigma = s / sqrt(lam)``, and ``h(z0) = -i (n-1) lam``.  Every point
+    continues ``u`` outward along both branches at once: a cubic Hermite
+    predictor from the last two nodes, then Newton steps.  The nodes
+    ``s = j h / 2`` carry the trapezoidal rule of step ``h`` (even ``j``)
+    and its midpoint rule (odd ``j``): two converged rules on disjoint
+    nodes.  Returns the real part of the mean of the two rules, turned by
+    the phase of :func:`_saddle_phase`, and each point's bar: the rules'
+    difference, plus the terms' moduli times ``8 eps``, times how far
+    each node may sit off the path, and times the exponent
+    ``n (n-1) lam eps |u|`` that the rounding of ``z0`` leaves at each
+    node (``h'`` vanishes at the exact saddle only).
+    """
+    z0 = (ya / n) ** (1.0 / (n - 1.0))
+    lam = z0 ** n
+    poly, dpoly = _saddle_poly(n)
+    half = 0.5 * _SADDLE_STEP
+    # u = a sigma + b sigma^2 + ... at the saddle
+    a = (1.0 + 1.0j) * math.sqrt(1.0 / (n * (n - 1.0)))
+    b = -1.0j * (n - 2.0) / (3.0 * n * (n - 1.0))
+    dsig = np.outer(half / np.sqrt(lam), (1.0, -1.0))
+    zi = 1.0j * z0[:, None]
+
+    rules = [_SADDLE_STEP * a * zi[:, 0] ** deriv,
+             np.zeros(ya.size, complex)]
+    moduli, (newton, reach) = np.abs(rules[0]), np.zeros((2, ya.size))
+    u = u_prev = np.zeros(dsig.shape, complex)
+    du = du_prev = np.full(dsig.shape, a)
+    for j in range(1, _SADDLE_NODES // 2 + 1):
+        sig = j * dsig
+        if j == 1:
+            u, u_prev = a * dsig + b * dsig * dsig, u
+        else:
+            u, u_prev = (5.0 * u_prev - 4.0 * u
+                         + dsig * (4.0 * du + 2.0 * du_prev)), u
+        # the first node starts from a two-term series, so it takes more
+        for _ in range(_SADDLE_NEWTON * (1 + (j == 1))):
+            u = u - ((u * u * _horner(poly, u) - 1.0j * sig * sig)
+                     / (u * _horner(dpoly, u)))
+        # F'(u) = i u Q(u); the residual F(u) / F'(u) is the distance to
+        # the path, and moves du by about (n - 1) times that relative to u
+        uq = u * _horner(dpoly, u)
+        miss = np.abs(u * u * _horner(poly, u) - 1.0j * sig * sig) / np.abs(uq)
+        du, du_prev = 2.0j * sig / uq, du
+        term = (_SADDLE_STEP * math.exp(-(j * half) ** 2)) * du
+        if deriv:
+            term *= (zi * (1.0 + u)) ** deriv
+        size = np.abs(term)
+        rules[j % 2] += term.sum(axis=1)
+        moduli += size.sum(axis=1)
+        newton += (size * miss / np.abs(u)).sum(axis=1)
+        reach += (size * np.abs(u)).sum(axis=1)
+    scale = z0 / np.sqrt(lam)
+    total = 0.5 * scale * (rules[0] + rules[1])
+    phase = _saddle_phase(n, ya, z0)
+    values = np.cos(phase) * total.real - np.sin(phase) * total.imag
+    return values, scale * (np.abs(rules[0] - rules[1])
+                            + 8.0 * _EPS * moduli + (n - 1.0) * newton
+                            + 2.0 * _EPS * n * (n - 1.0) * lam * reach)
+
+
+def _path_values(spec: EquationSpec, y: np.ndarray, deriv: int = 0):
+    """``phi^(deriv)(y) = (1/pi) Re int_0^inf (i z)^deriv g(z) dz`` with
+    ``g(z) = exp(i y z + k (i z)^n)``, each point on its own path.
+
+    Even ``n``: ``phi`` is even, and ``|y|`` takes the ray at
+    ``pi/(4n)``, half way to the edge of the valley of ``-z^n``, where
+    both terms of ``Re h`` decay.  Odd ``n``, mapped to ``gamma = 1`` by
+    ``y -> gamma y`` (``k i^n = i gamma``): the ray along the valley
+    centre ``pi/(2n)``; past ``|y| = _SADDLE_SWITCH n`` on the oscillatory
+    side, where that ray would sum a hump of ``exp(c |y|^(n/(n-1)))``,
+    the ray into the valley at ``-3 pi/(2n)`` and
+    :func:`_saddle_leg` from there.  Returns values, each point's bar (two
+    converged rules apart, plus rounding and the ray tails) and the
+    evaluations.
+    """
+    n = spec.n
+    if n % 2 == 0:
+        sign, yr = np.sign(y), np.abs(y)
+        theta = np.full(y.size, math.pi / (4.0 * n))
+        cn = -complex(math.cos(math.pi / 4.0), math.sin(math.pi / 4.0))
+        leg = None
+    else:
+        sign = float(spec.k * (-1) ** ((n - 1) // 2))
+        yr = sign * y
+        leg = yr < -_SADDLE_SWITCH * n
+        theta = np.where(leg, -3.0, 1.0) * (math.pi / (2.0 * n))
+        cn = -1.0 + 0.0j
+    values, bars = _ray(n, yr, theta, cn, deriv)
+    evals = _ray_rules(n)[0].size * y.size
+    if leg is not None and leg.any():
+        leg_values, leg_bars = _saddle_leg(n, -yr[leg], deriv)
+        values[leg] += leg_values
+        bars[leg] += leg_bars
+        evals += _SADDLE_NODES * int(np.count_nonzero(leg))
+    if deriv:
+        values *= sign ** deriv
+    return values / math.pi, bars / math.pi, evals
+
+
+def kernel_contour_values(spec: EquationSpec, x, tol: float = DEFAULT_TOL):
     """The kernel ``p_n(x, 1)`` on an array of space points, unchecked:
     :func:`kernel_density_grid` checks the arguments.
 
-    The points go in chunks of ``_CONTOUR_CHUNK`` in order of ``|x|``,
-    one contour per chunk, since each contour is sized for its largest
-    ``|x|``.  Returns ``(values, error_estimate, evaluations)``: the
-    largest chunk's error estimate and the evaluations of all chunks.
-    Each contour shares its panels across its chunk, within a budget of
-    ``EVAL_BUDGET`` evaluations.  ``radius_scale`` moves the split radius
-    of the odd-``n`` contour; the values must not depend on it, and the
-    tests check that.
+    Each point has its own path (see :func:`_path_values`) and a fixed
+    rule, and all points go through one (points x nodes) array in chunks
+    of about ``_PATH_CHUNK`` elements, so a value does not depend on the
+    other points of the request.  Returns ``(values, error_estimate,
+    evaluations)``: the largest bar and the nodes of all paths.  A point
+    whose bar misses ``tol`` raises :class:`ConvergenceError`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    values = np.empty_like(x)
-    err, evals = 0.0, 0
-    order = np.argsort(np.abs(x))
-    for chunk in np.array_split(order, -(-x.size // _CONTOUR_CHUNK)):
-        if spec.n % 2 == 0:
-            part = _even_kernel_values(spec.n, x[chunk], tol)
-        else:
-            part = _odd_kernel_values(spec.n, spec.k, x[chunk], tol,
-                                      radius_scale)
-        values[chunk] = part[0]
-        err, evals = max(err, part[1]), evals + part[2]
-    return values, err, evals
+    if x.size == 0:
+        return np.empty(0), 0.0, 0
+    values, bars, evals = _path_values(spec, x)
+    worst = int(np.argmax(bars))
+    if not bars[worst] <= tol:
+        raise ConvergenceError(
+            f"kernel of n={spec.n}, k={spec.k} at x={x[worst]:g}: bar "
+            f"{bars[worst]:.2g} misses tol {tol:.2g}")
+    return values, float(bars[worst]), evals
 
 
 def kernel_density_grid(spec: EquationSpec, x, t: float,

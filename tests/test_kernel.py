@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +17,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import airy
 
-from fracheat._errors import DomainError
+from fracheat import kernel, solver
+from fracheat._errors import ConvergenceError, DomainError
 from fracheat.kernel import (
     EquationSpec,
     _decay_rate,
@@ -197,6 +199,75 @@ class TestKernelDensity:
             kernel_density_grid(spec, [0.0], 0.0)
         with pytest.raises(DomainError):
             kernel_density_grid(spec, [0.0], -1.0)
+
+
+def profile_range(n, sign):
+    """The span of ``y`` that the kernel profile of ``(n, sign)`` reads."""
+    profile = solver._kernel_profile(n, make_equation_spec(n, sign).k)
+    return float(profile.edges[0]), float(profile.edges[-1])
+
+
+ORDERS = [(n, s) for n in range(2, 9) for s in ((1, -1) if n % 2 else (1,))]
+
+
+class TestFixedPaths:
+    """The kernel at t = 1 on its per-point paths, over the whole span the
+    kernel profile reads: every bar covers the error against a closed
+    form or an identity, and a bar that misses its tolerance refuses."""
+
+    def test_empty_request(self):
+        for n in (2, 3):
+            vals, err, evals = kernel_density_grid(make_equation_spec(n),
+                                                   [], 0.5)
+            assert vals.shape == (0,) and err == 0.0 and evals == 0
+
+    def test_bars_cover_the_gaussian(self):
+        ys = np.linspace(*profile_range(2, 1), 4001)
+        vals, bars, _ = kernel._path_values(make_equation_spec(2), ys)
+        exact = np.exp(-ys ** 2 / 4.0) / math.sqrt(4.0 * math.pi)
+        assert np.all(np.abs(vals - exact) <= bars)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_bars_cover_airy(self, sign):
+        # mpmath's Ai rather than scipy's: past y = 15 scipy's is off by up
+        # to 7e-15, more than these bars
+        ys = np.linspace(*profile_range(3, sign), 801)
+        vals, bars, _ = kernel._path_values(make_equation_spec(3, sign), ys)
+        with mpmath.workdps(30):
+            c = mpmath.cbrt(3)
+            exact = [float(mpmath.airyai(-sign * mpmath.mpf(y) / c) / c)
+                     for y in ys]
+        assert np.all(np.abs(vals - exact) <= bars)
+
+    @pytest.mark.parametrize("n, sign", ORDERS[1:])
+    def test_bars_cover_the_kernel_ode(self, n, sign):
+        """``k phi^(n-1)(y) = -(y/n) phi(y)``, with ``phi^(n-1)`` taken
+        under the integral: a factor ``(i z)^(n-1)`` on the same nodes."""
+        spec = make_equation_spec(n, sign)
+        ys = np.linspace(*profile_range(n, sign), 2001)
+        phi, bar, _ = kernel._path_values(spec, ys)
+        dphi, dbar, _ = kernel._path_values(spec, ys, n - 1)
+        assert np.all(np.abs(spec.k * dphi + ys / n * phi)
+                      <= dbar + np.abs(ys) / n * bar)
+
+    @pytest.mark.parametrize("n, sign", ORDERS)
+    def test_evaluations_per_point_are_capped(self, n, sign):
+        """A point costs the same fixed rules near the origin and at the
+        far end of the oscillatory side (the decaying end for even n)."""
+        spec = make_equation_spec(n, sign)
+        lo, hi = profile_range(n, sign)
+        for y in (0.5, lo if spec.osc_dir < 0 else hi):
+            _, _, evals = kernel_contour_values(spec, [y], 1e-11)
+            assert evals <= 320
+
+    def test_a_bar_over_tol_refuses(self):
+        spec = make_equation_spec(3)
+        _, err, _ = kernel_contour_values(spec, [0.5, 40.0], 1e-13)
+        assert err < 1e-13
+        with pytest.raises(ConvergenceError, match="misses tol"):
+            kernel_contour_values(spec, [0.5, 40.0], 0.5 * err)
+        with pytest.raises(ConvergenceError):
+            kernel_density_grid(spec, [0.5], 1e-6, 1e-16)
 
 
 class TestKernelMoment:

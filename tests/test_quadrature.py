@@ -195,33 +195,38 @@ class TestOscillatoryRay:
 
     @pytest.mark.parametrize("x", [-3.0, -0.5, 0.0, 1.0, 4.0])
     def test_split_radius_invariance(self, x):
-        spec = EquationSpec(3, 1)
-        base, _, _ = kernel_contour_values(spec, x, 1e-10)
-        moved, _, _ = kernel_contour_values(spec, x, 1e-10, radius_scale=1.1)
-        assert abs(base[0] - moved[0]) <= 1e-8
+        """The two paths of the oscillatory side of odd n agree around the
+        switch at |y| = 2n: the ray along the valley centre alone, and the
+        ray across the real axis plus the steepest-descent leg.  Both run
+        in the frame k i^n = i that every odd spec maps to, at
+        |y| = (2 + x/8) n, that is from 1.625 n to 2.5 n.  Below the switch
+        the leg's two rules part by up to 1.3e-12, which its bar shows."""
+        for n in (3, 5, 7):
+            ya = (2.0 + x / 8.0) * n * np.linspace(0.98, 1.02, 9)
+            ray, ray_bar = kernel._ray(
+                n, -ya, np.full(ya.size, math.pi / (2 * n)), -1.0 + 0.0j, 0)
+            split, split_bar = kernel._ray(
+                n, -ya, np.full(ya.size, -3.0 * math.pi / (2 * n)),
+                -1.0 + 0.0j, 0)
+            leg, leg_bar = kernel._saddle_leg(n, ya, 0)
+            assert np.max(np.abs(ray - split - leg)) <= 1e-13 * math.pi
+            # each path's own bar holds where it serves, and past it
+            assert np.max(ray_bar) <= 1e-13 * math.pi
+            if x >= 0.0:
+                assert np.max(split_bar + leg_bar) <= 1e-13 * math.pi
 
     def test_batch_matches_pointwise(self):
-        spec = EquationSpec(3, 1)
-        xs = np.linspace(-4.0, 4.0, 17)
-        vals, err, _ = kernel_contour_values(spec, xs, 1e-10)
-        for i in (0, 5, 11, 16):
-            single, _, _ = kernel_contour_values(spec, float(xs[i]), 1e-10)
-            assert_allclose(vals[i], single[0], atol=1e-8)
-        # a grid of three chunks: one contour per chunk of |y|, the largest
-        # chunk error, and the evaluations of all chunks
+        """Every point has its own path and rule, so a value is the same
+        bit for bit alone and inside a batch, whatever the batch holds."""
         ys = np.random.default_rng(3).uniform(-30.0, 30.0, 600)
-        vals, err, evals = kernel_contour_values(spec, ys, 1e-10)
-        chunks = np.array_split(np.argsort(np.abs(ys)),
-                                -(-ys.size // kernel._CONTOUR_CHUNK))
-        assert len(chunks) == 3
-        parts = [kernel_contour_values(spec, ys[c], 1e-10) for c in chunks]
-        for c, (part, _, _) in zip(chunks, parts):
-            assert_array_equal(vals[c], part)
-        assert err == max(part_err for _, part_err, _ in parts)
-        assert evals == sum(part_evals for _, _, part_evals in parts)
-        for i in (0, 199, 200, 401, 599):
-            single, _, _ = kernel_contour_values(spec, float(ys[i]), 1e-10)
-            assert_allclose(vals[i], single[0], atol=1e-8)
+        for n, sign in ((2, 1), (3, 1), (3, -1), (6, 1), (7, -1)):
+            spec = EquationSpec(n, sign)
+            vals, err, _ = kernel_contour_values(spec, ys, 1e-10)
+            for i in range(0, ys.size, 23):
+                single, single_err, _ = kernel_contour_values(spec, ys[i],
+                                                              1e-10)
+                assert_array_equal(single, vals[i:i + 1])
+                assert single_err <= err
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(DomainError):
