@@ -36,6 +36,7 @@ from ._errors import ConvergenceError, DomainError, require_positive
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
+    _integrate_points,
     euler_tail_sum,
     integrate_adaptive,
 )
@@ -567,9 +568,10 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     and is floored at the noise level that the weight ``x^r`` induces.
     Even ``n``: one adaptive pass over the truncated interval.  Odd ``n``:
     adaptive head plus stationary-phase lobe blocks on the algebraically
-    decaying oscillatory side, summed with :func:`euler_tail_sum` (the
-    lobe integrals may grow polynomially for large ``r``; the averaging
-    handles that).
+    decaying oscillatory side, every block one point of a single
+    :func:`_integrate_points` call, summed with :func:`euler_tail_sum`
+    (the lobe integrals may grow polynomially for large ``r``; the
+    averaging handles that).
 
     The error estimate adds to the quadrature's own the tails cut off
     (``0.3 tol`` of the magnitude each) and the kernel values' error
@@ -650,21 +652,16 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     head = integrate_adaptive(f, lo, hi, max(0.5 * abs_tol, head_floor),
                               initial_intervals=init)
 
-    base_tol = 0.5 * abs_tol / _MOMENT_BLOCKS
-    block_vals = np.empty(_MOMENT_BLOCKS)
-    evals = head.evaluations
-    err_blocks = 0.0
-    for j in range(_MOMENT_BLOCKS):
-        a, b = spec.osc_dir * bounds[j], spec.osc_dir * bounds[j + 1]
-        if a > b:
-            a, b = b, a
-        floor_j = (_KERNEL_NOISE * bounds[j + 1] ** r
-                   * (bounds[j + 1] - bounds[j]))
-        res = integrate_adaptive(f, a, b, max(base_tol, floor_j),
-                                 initial_intervals=2)
-        block_vals[j] = res.value
-        err_blocks += res.error_estimate
-        evals += res.evaluations
+    # every block starts as two panels
+    lo_b, hi_b = np.sort(spec.osc_dir * np.stack((bounds[:-1], bounds[1:])),
+                         axis=0)
+    edges = np.linspace(lo_b, hi_b, 3, axis=1)
+    floors = _KERNEL_NOISE * bounds[1:] ** r * np.diff(bounds)
+    block_vals, block_errs, evals = _integrate_points(
+        lambda xs, _: f(xs), edges[:, :-1].ravel(), edges[:, 1:].ravel(),
+        np.repeat(np.arange(_MOMENT_BLOCKS), 2),
+        np.maximum(0.5 * abs_tol / _MOMENT_BLOCKS, floors))
     tail_sum, tail_err = euler_tail_sum(block_vals)
     return result(head.value + tail_sum,
-                  head.error_estimate + err_blocks + tail_err, evals)
+                  head.error_estimate + float(np.sum(block_errs)) + tail_err,
+                  head.evaluations + evals)

@@ -1,21 +1,22 @@
-"""Adaptive quadrature engines used by the analytic routes.
+"""Quadrature engines used by the analytic routes.
 
-* :func:`integrate_adaptive` -- globally adaptive Gauss pair on a finite
-  interval, for scalar, complex, or vector-valued integrands.
+* :func:`_integrate_points` -- the one adaptive engine: composite
+  Gauss-Legendre panels for many integrals at once, each a "point" with
+  its own panels and error budget, refined by panel halving in one array.
+* :func:`integrate_adaptive` -- one real integrand on a finite interval,
+  a one-point call of that engine.
 * :func:`integrate_jacobi_singular` -- Gauss-Jacobi rules for integrands with
-  an algebraic endpoint singularity, with node doubling and a hybrid split
-  fallback.
+  an algebraic endpoint singularity, with node doubling and a split
+  fallback through :func:`integrate_adaptive`.
 * :func:`euler_tail_sum` -- an iterated-averaging summer for the slowly
   decaying (or polynomially growing) alternating block sums that
   oscillatory tails produce.
 
-The two integrators report a :class:`QuadResult` carrying the value, an
-error estimate, and the number of integrand evaluations spent.
+The two public integrators report a :class:`QuadResult` carrying the value,
+an error estimate, and the number of integrand evaluations spent.
 """
 from __future__ import annotations
 
-import heapq
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,23 +31,22 @@ DEFAULT_TOL = 1e-9
 #: Hard cap on integrand evaluations for one adaptive call.
 EVAL_BUDGET = 1 << 20
 
-# Nested Gauss-Legendre pair: the low rule gives the error estimate, the
-# high rule gives the value.  Both sets of nodes are evaluated in a single
-# vectorized call per panel.
-_N_LO, _N_HI = 10, 21
-_NODES_LO, _WEIGHTS_LO = leggauss(_N_LO)
-_NODES_HI, _WEIGHTS_HI = leggauss(_N_HI)
-_PANEL_EVALS = _N_LO + _N_HI
+#: adaptive engine: Gauss-Legendre nodes per half panel, panel cap per
+#: point, and nodes per evaluation chunk (about 2 MB of work arrays)
+_NODES = 8
+_MAX_PANELS = 2048
+_CHUNK = 1 << 14
+
+#: the engine's Gauss-Legendre rule, built once
+_GL = leggauss(_NODES)
 
 
 @dataclass(frozen=True)
 class QuadResult:
-    """Outcome of one quadrature call.
+    """Outcome of one quadrature call on a real integrand.
 
-    ``value`` is a float for the public scalar entry points; internal callers
-    may receive a complex number or an ndarray when the integrand is
-    vector-valued.  ``error_estimate`` is an absolute estimate (max-norm for
-    vector integrands).
+    ``value`` is a float; ``error_estimate`` is an absolute estimate that
+    includes the rounding floor of the summed rules.
     """
 
     value: float
@@ -74,105 +74,108 @@ class JacobiWeight:
                 f"endpoint must be 'left' or 'right', got {self.endpoint!r}")
 
 
-def _panel(f, a: float, b: float):
-    """Evaluate the Gauss pair on ``[a, b]``.
+def _integrate_points(f, a: np.ndarray, b: np.ndarray, pt: np.ndarray,
+                      budget: np.ndarray, max_panels: int | None = None
+                      ) -> tuple[np.ndarray, np.ndarray, int]:
+    """``int f`` over the starting panels ``[a, b]`` of every point, summed
+    per point ``pt`` (an index into ``budget``), each within its budget.
 
-    Returns ``(value_hi, error, evals)`` where ``value_hi`` may be scalar,
-    complex, or an array matching the integrand's output shape.
+    ``f(x, p)`` takes flat nodes ``x`` and the point ``p`` of each and
+    returns one real value per node.  A panel's error is the
+    ``_NODES``-node Gauss-Legendre rule on its two halves against the rule
+    on the whole.  At every point over ``max(budget, floor)``, where the
+    rounding floor is ``64 eps`` times the summed magnitudes of its
+    half-panel rules, the panels above their mean share of the budget are
+    halved, all points in one array, until each point stops or refuses at
+    ``max_panels`` panels (default ``_MAX_PANELS``).  A non-finite
+    integrand refuses too.  Returns the half-panel sums, the summed
+    differences plus the floor, and the number of evaluations.
     """
-    mid = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    xs = np.concatenate((mid + half * _NODES_LO, mid + half * _NODES_HI))
-    ys = np.asarray(f(xs))
-    if ys.shape[0] != _PANEL_EVALS:
-        raise DomainError(
-            "integrand must return one value per node along axis 0; "
-            f"got shape {ys.shape} for {_PANEL_EVALS} nodes"
-        )
-    lo = half * np.tensordot(_WEIGHTS_LO, ys[:_N_LO], axes=(0, 0))
-    hi = half * np.tensordot(_WEIGHTS_HI, ys[_N_LO:], axes=(0, 0))
-    err = float(np.max(np.abs(hi - lo)))
-    return hi, err, _PANEL_EVALS
-
-
-def _adaptive(f, a: float, b: float, tol: float, budget: int,
-              initial_intervals: int = 1):
-    """Globally adaptive bisection on ``[a, b]``.
-
-    Keeps a worst-first heap of panels and refines until the summed panel
-    errors meet ``tol`` or the evaluation budget runs out.  Returns
-    ``(value, error, evaluations)`` with ``value`` in whatever shape the
-    integrand produces.
-    """
-    if not (b > a):
-        if b == a:
-            return 0.0, 0.0, 0
-        raise DomainError(f"empty integration interval [{a}, {b}]")
-    if initial_intervals < 1:
-        raise DomainError("initial_intervals must be >= 1")
-
-    edges = np.linspace(a, b, initial_intervals + 1)
-    heap = []
-    total = None
-    total_err = 0.0
+    node, ref = _GL
+    rows = _CHUNK // _NODES
+    cap = _MAX_PANELS if max_panels is None else max_panels
     evals = 0
-    serial = 0
-    for lo_edge, hi_edge in zip(edges[:-1], edges[1:]):
-        val, err, used = _panel(f, lo_edge, hi_edge)
-        evals += used
-        total = val if total is None else total + val
-        total_err += err
-        heapq.heappush(heap, (-err, serial, lo_edge, hi_edge, val, err))
-        serial += 1
 
-    while total_err > tol and heap:
-        if evals + 2 * _PANEL_EVALS > budget:
+    def rule(a, b, pt):
+        nonlocal evals
+        out = np.empty(a.size)
+        for c in range(0, a.size, rows):
+            sl = slice(c, c + rows)
+            rad = 0.5 * (b[sl] - a[sl])
+            x = ((a[sl] + rad)[:, None] + rad[:, None] * node).ravel()
+            y = np.asarray(f(x, np.repeat(pt[sl], _NODES)))
+            if y.shape != x.shape:
+                raise DomainError(
+                    "integrand must return one real value per node; "
+                    f"got shape {y.shape} for {x.size} nodes")
+            out[sl] = rad * (y.reshape(-1, _NODES) @ ref)
+        evals += a.size * _NODES
+        return out
+
+    def halves(a, b, pt):
+        mid = 0.5 * (a + b)
+        return rule(np.append(a, mid), np.append(mid, b),
+                    np.append(pt, pt)).reshape(2, -1).T
+
+    whole, half = rule(a, b, pt), halves(a, b, pt)
+    while True:
+        est = np.abs(half.sum(axis=1) - whole)
+        err = np.bincount(pt, est, budget.size)
+        floor = 64.0 * np.finfo(float).eps * np.bincount(
+            pt, np.abs(half).sum(axis=1), budget.size)
+        if not np.all(np.isfinite(err)):
+            i = int(np.argmin(np.isfinite(err)))
             raise ConvergenceError(
-                f"adaptive quadrature on [{a}, {b}] used {evals} evaluations "
-                f"without reaching tol={tol:g} (error ~ {total_err:.3g})"
-            )
-        _, _, lo_edge, hi_edge, val, err = heapq.heappop(heap)
-        mid = 0.5 * (lo_edge + hi_edge)
-        if mid <= lo_edge or mid >= hi_edge:
-            # Panel has collapsed to machine resolution; accept its estimate.
-            heapq.heappush(heap, (0.0, serial, lo_edge, hi_edge, val, err))
-            serial += 1
+                f"adaptive quadrature of point {i} met a non-finite "
+                "integrand")
+        over = err > np.maximum(budget, floor)
+        if not np.any(over):
             break
-        left_val, left_err, used_l = _panel(f, lo_edge, mid)
-        right_val, right_err, used_r = _panel(f, mid, hi_edge)
-        if not math.isfinite(left_err):
-            left_err = math.inf
-        if not math.isfinite(right_err):
-            right_err = math.inf
-        evals += used_l + used_r
-        total = total - val + left_val + right_val
-        total_err = total_err - err + left_err + right_err
-        heapq.heappush(heap, (-left_err, serial, lo_edge, mid, left_val, left_err))
-        heapq.heappush(heap, (-right_err, serial + 1, mid, hi_edge, right_val, right_err))
-        serial += 2
-
-    if not np.all(np.isfinite(np.asarray(total))):
-        raise ConvergenceError(
-            f"integrand produced non-finite values on [{a}, {b}]; "
-            "the singularity is not integrable by panel refinement"
-        )
-    return total, total_err, evals
+        count = np.bincount(pt, minlength=budget.size)
+        if np.max(count[over]) >= cap:
+            i = int(np.argmax(np.where(over, count, -1)))
+            raise ConvergenceError(
+                f"adaptive quadrature of point {i} misses its budget "
+                f"{budget[i]:.2g} with {count[i]} panels "
+                f"(estimate {err[i]:.2g})")
+        split = over[pt] & (est * count[pt] > budget[pt])
+        mid = 0.5 * (a[split] + b[split])
+        a = np.concatenate((a[~split], a[split], mid))
+        b = np.concatenate((b[~split], mid, b[split]))
+        pt = np.concatenate((pt[~split], pt[split], pt[split]))
+        # a child's whole-panel rule is its parent's half
+        whole = np.concatenate((whole[~split], half[split, 0], half[split, 1]))
+        new = slice(a.size - 2 * mid.size, None)
+        half = np.concatenate((half[~split], halves(a[new], b[new], pt[new])))
+    return np.bincount(pt, half.sum(axis=1), budget.size), err + floor, evals
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = DEFAULT_TOL, *,
                        budget: int = EVAL_BUDGET,
                        initial_intervals: int = 1) -> QuadResult:
-    """Integrate ``f`` over the finite interval ``[a, b]``.
+    """Integrate the real integrand ``f`` over the finite interval
+    ``[a, b]`` within the absolute tolerance ``tol``.
 
-    ``f`` must accept an ndarray of abscissae and return the integrand values
-    along axis 0; scalar-real, complex, and vector-valued integrands are all
-    accepted (vector errors are controlled in max-norm).  Raises
-    :class:`ConvergenceError` when the evaluation budget is exhausted before
-    the absolute tolerance is met.
+    ``f`` takes an ndarray of abscissae and returns one value per
+    abscissa.  This is one point of :func:`_integrate_points`, starting
+    from ``initial_intervals`` equal panels; the evaluation ``budget``
+    caps its panels at ``budget // (3 * _NODES)``.  Raises
+    :class:`ConvergenceError` when a point at that cap still misses
+    ``tol`` or the integrand is not finite.
     """
-    value, err, evals = _adaptive(f, a, b, tol, budget,
-                                  initial_intervals=initial_intervals)
-    return QuadResult(value=value, error_estimate=err, evaluations=evals)
+    if not (b > a):
+        if b == a:
+            return QuadResult(value=0.0, error_estimate=0.0, evaluations=0)
+        raise DomainError(f"empty integration interval [{a}, {b}]")
+    if initial_intervals < 1:
+        raise DomainError("initial_intervals must be >= 1")
+    edges = np.linspace(a, b, initial_intervals + 1)
+    value, err, evals = _integrate_points(
+        lambda x, _: f(x), edges[:-1], edges[1:],
+        np.zeros(initial_intervals, int), np.array([float(tol)]),
+        budget // (3 * _NODES))
+    return QuadResult(value=float(value[0]), error_estimate=float(err[0]),
+                      evaluations=evals)
 
 
 def euler_tail_sum(blocks):
@@ -261,16 +264,16 @@ def integrate_jacobi_singular(f, a: float, b: float, weight: JacobiWeight,
         x = np.asarray(x)
         return np.asarray(f(x)) * np.abs(x - end) ** weight.exponent
 
-    smooth_val, smooth_err, smooth_evals = _adaptive(
-        plain, *smooth, 0.5 * tol, budget - evals)
+    smooth_res = integrate_adaptive(plain, *smooth, 0.5 * tol,
+                                    budget=budget - evals)
     sing = integrate_jacobi_singular(
-        f, *singular, weight,
-        0.5 * tol, budget=budget - evals - smooth_evals, _depth=_depth + 1)
+        f, *singular, weight, 0.5 * tol,
+        budget=budget - evals - smooth_res.evaluations, _depth=_depth + 1)
     # The recursive singular piece carries the weight relative to its own
     # endpoint, which coincides with the original singular endpoint, so the
     # weight factor is unchanged.
     return QuadResult(
-        value=smooth_val + sing.value,
-        error_estimate=smooth_err + sing.error_estimate,
-        evaluations=evals + smooth_evals + sing.evaluations,
+        value=smooth_res.value + sing.value,
+        error_estimate=smooth_res.error_estimate + sing.error_estimate,
+        evaluations=evals + smooth_res.evaluations + sing.evaluations,
     )

@@ -41,14 +41,17 @@ from .kernel import (
     make_equation_spec,
 )
 from .quadrature import (
+    _CHUNK,
     JacobiWeight,
+    _integrate_points,
     euler_tail_sum,
-    integrate_adaptive,
     integrate_jacobi_singular,
 )
 from .specfun import MLParams, closed_form, mittag_leffler_grid
 from .timechange import TimeChangeLaw, time_density_grid
 
+# bench/tracer.py probes this by name in this module; nothing here calls it
+from .quadrature import integrate_adaptive  # noqa: F401
 # bench/tracer.py probes this by name in this module; nothing here calls it
 from .specfun import stable_one_sided_density_grid  # noqa: F401
 
@@ -92,18 +95,13 @@ _OSC_PHASE0 = 6.0 * math.pi
 _OSC_BLOCKS = 72
 _OSC_NODES = 10
 
-#: subordination in v = u^(1/n): Gauss-Legendre nodes per half panel,
-#: geometric panel ratio, uniform panels across [0, v_hi], panel cap per
-#: point, and nodes per evaluation chunk (about 2 MB of work arrays)
-_V_NODES = 8
+#: subordination in v = u^(1/n): geometric panel ratio, and uniform
+#: panels across [0, v_hi]
 _V_RATIO = 2.0
 _V_UNIFORM = 4
-_V_MAX_PANELS = 2048
-_V_CHUNK = 1 << 14
 
 #: Gauss-Legendre rules, built once
 _GL_OSC = leggauss(_OSC_NODES)
-_GL_V = leggauss(_V_NODES)
 _GL16 = leggauss(16)
 
 
@@ -248,6 +246,12 @@ class _Chebyshev:
         # one row per degree, one column per panel
         self._coef = np.concatenate(coefs)[order].T
 
+    def integral(self) -> float:
+        """The fit's integral over its span (``int T_k = 2 / (1 - k^2)``,
+        ``k`` even)."""
+        k = np.arange(0, self._coef.shape[0], 2)
+        return float(self._rad @ (2.0 / (1.0 - k ** 2) @ self._coef[::2]))
+
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.zeros_like(x)
@@ -275,6 +279,14 @@ class _KernelProfile(_Chebyshev):
     :meth:`head` sums over; beyond those points it is zero.  Each fitting
     pass takes its values from one :func:`kernel_density_grid` call;
     ``contour_err`` is the largest error estimate of those calls.
+
+    A feature narrower than the first pass's node spacing escapes
+    ``fit_err``, so the profile checks its own mass, as the time profile
+    does.  For odd ``n`` the oscillatory tail past the last edge carries
+    real mass (0.014-0.021); it is added from as many stationary-phase
+    lobes again, on the head's rule, in one :func:`kernel_density_grid`
+    call, summed by :func:`euler_tail_sum`.  The mass must be 1 to the fit
+    and contour errors over the span plus the summation error.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -311,11 +323,28 @@ class _KernelProfile(_Chebyshev):
         edges = np.concatenate((-side(-lo)[::-1], [0.0], side(hi)))
         super().__init__(contour, edges, _KERNEL_NODES, _KERNEL_FIT_TOL,
                          f"kernel profile of n={n}, k={k}")
+        mass, span = self.integral(), self.edges[-1] - self.edges[0]
+        contour_err, tail_err = self.contour_err, 0.0
         if self.osc_dir:
             # the phase blocks' nodes, with the profile taken on them once
             self._osc_nodes, self._osc_weights = _gl_panels(self.osc_edges,
                                                             _GL_OSC)
             self._osc_vals = self(self.osc_dir * self._osc_nodes)
+            tail_edges = _phase_point(n, _OSC_PHASE0 + math.pi * np.arange(
+                _OSC_BLOCKS, 2 * _OSC_BLOCKS + 1))
+            nodes, weights = _gl_panels(tail_edges, _GL_OSC)
+            values, err, _ = kernel_density_grid(
+                self.spec, self.osc_dir * nodes, 1.0, _KERNEL_TOL)
+            tail, tail_err = euler_tail_sum(
+                (weights * values).reshape(_OSC_BLOCKS, _OSC_NODES).sum(1))
+            mass += float(tail)
+            span += tail_edges[-1] - tail_edges[0]
+            contour_err = max(contour_err, err)
+        slack = (span * (max(self.fit_err, _KERNEL_FIT_TOL) + contour_err)
+                 + tail_err)
+        if abs(mass - 1.0) > slack:
+            raise ConvergenceError(
+                f"kernel profile of n={n}, k={k} has mass {mass!r}")
 
     def head(self, ys: np.ndarray, weight, j0: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray]:
@@ -329,7 +358,7 @@ class _KernelProfile(_Chebyshev):
         n = self.spec.n
         ax = np.abs(ys)[:, None]
         blocks = np.empty((ax.size, _OSC_BLOCKS))
-        rows = max(1, _V_CHUNK // self._osc_nodes.size)
+        rows = max(1, _CHUNK // self._osc_nodes.size)
         for c in range(0, ax.size, rows):
             a = ax[c:c + rows]
             wv = weight(((a / self._osc_nodes) ** n).ravel())
@@ -361,7 +390,7 @@ class _TimeProfile(_Chebyshev):
     cover ``[0, x_clip]``, where ``F(x_clip)`` is ~e^-_CLIP_LOG; beyond it
     the profile is zero, and ``tail_mass`` bounds the mass it drops.  A
     feature narrower than the first pass's node spacing escapes ``fit_err``
-    too, so the profile's own mass (``int T_k = 2 / (1 - k^2)``, ``k`` even)
+    too, so the profile's own mass (:meth:`integral`)
     must be 1 to ``tail_mass`` plus twice the fit error over the span."""
 
     def __init__(self, alpha: float) -> None:
@@ -372,8 +401,7 @@ class _TimeProfile(_Chebyshev):
                          _PROFILE_NODES, _PROFILE_TOL,
                          f"time-law profile at alpha={alpha}")
         self.tail_mass = _survival_probability(alpha, self.x_clip)
-        k = np.arange(0, _PROFILE_NODES, 2)
-        mass = float(self._rad @ (2.0 / (1.0 - k ** 2) @ self._coef[::2]))
+        mass = self.integral()
         slack = 2.0 * self.x_clip * max(self.fit_err, _PROFILE_TOL)
         if abs(mass - 1.0) > self.tail_mass + slack:
             raise ConvergenceError(
@@ -404,32 +432,14 @@ def _v_integral(kernel: _KernelProfile, ys: np.ndarray, v_lo: np.ndarray,
     ``y``: the u-integral of ``p_n(y, u) weight(u)`` in ``v = u^(1/n)``,
     which absorbs the ``u^(-1/n)`` endpoint factor into a smooth integrand.
 
-    Each point gets composite Gauss-Legendre panels, geometric from its
-    ``v_lo`` and uniform beyond; a panel's error is its rule on the two
-    halves against its rule on the whole.  At every point over its
-    ``budget`` the panels above their mean share are halved, all points in
-    one array, until each point meets its budget or refuses at
-    ``_V_MAX_PANELS`` panels.  The values are the half-panel sums, and the
-    errors add a rounding floor to the summed differences.
+    Each ``y`` is one point of :func:`_integrate_points`, within its
+    ``budget``, starting from panels geometric from its ``v_lo`` and
+    uniform beyond.
     """
     n = kernel.spec.n
-    node, ref = _GL_V
-    rows = _V_CHUNK // _V_NODES
 
-    def rule(a, b, pt):
-        out = np.empty(a.size)
-        for c in range(0, a.size, rows):
-            sl = slice(c, c + rows)
-            rad = 0.5 * (b[sl] - a[sl])
-            v = ((a[sl] + rad)[:, None] + rad[:, None] * node).ravel()
-            f = n * v ** (n - 2) * kernel(np.repeat(ys[pt[sl]], _V_NODES) / v)
-            out[sl] = rad * ((f * weight(v ** n)).reshape(-1, _V_NODES) @ ref)
-        return out
-
-    def halves(a, b, pt):
-        mid = 0.5 * (a + b)
-        return rule(np.append(a, mid), np.append(mid, b),
-                    np.append(pt, pt)).reshape(2, -1).T
+    def integrand(v, p):
+        return n * v ** (n - 2) * kernel(ys[p] / v) * weight(v ** n)
 
     # geometric edges v_lo q^j while a step is shorter than the uniform
     # width h, then uniform panels up to v_hi; _V_UNIFORM > q / (q - 1)
@@ -450,33 +460,9 @@ def _v_integral(kernel: _KernelProfile, ys: np.ndarray, v_lo: np.ndarray,
         return np.where(m <= k, v_lo[pt] * q ** np.minimum(m, k),
                         g[pt] + (m - k) * w)
 
-    a, b = edge(j), edge(j + 1)
-    whole, half = rule(a, b, pt), halves(a, b, pt)
-    while True:
-        est = np.abs(half.sum(axis=1) - whole)
-        err = np.bincount(pt, est, ys.size)
-        over = err > budget
-        if not np.any(over):
-            break
-        count = np.bincount(pt, minlength=ys.size)
-        if np.max(count[over]) >= _V_MAX_PANELS:
-            i = int(np.argmax(np.where(over, count, -1)))
-            raise ConvergenceError(
-                f"subordination at y={ys[i]:g} misses its budget "
-                f"{budget[i]:.2g} with {count[i]} panels "
-                f"(estimate {err[i]:.2g})")
-        split = over[pt] & (est * count[pt] > budget[pt])
-        mid = 0.5 * (a[split] + b[split])
-        a = np.concatenate((a[~split], a[split], mid))
-        b = np.concatenate((b[~split], mid, b[split]))
-        pt = np.concatenate((pt[~split], pt[split], pt[split]))
-        # a child's whole-panel rule is its parent's half
-        whole = np.concatenate((whole[~split], half[split, 0], half[split, 1]))
-        new = slice(a.size - 2 * mid.size, None)
-        half = np.concatenate((half[~split], halves(a[new], b[new], pt[new])))
-    floor = np.bincount(pt, np.abs(half).sum(axis=1), ys.size)
-    return (np.bincount(pt, half.sum(axis=1), ys.size),
-            err + 64.0 * np.finfo(float).eps * floor)
+    values, errors, _ = _integrate_points(integrand, edge(j), edge(j + 1),
+                                          pt, budget)
+    return values, errors
 
 
 def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
@@ -831,14 +817,16 @@ def laplace_relation_check(spec: EquationSpec, alpha: float, x: float,
         prof = _time_profile(alpha)
 
         def weight(us):
-            # int_0^{t_cut} e^{-st} vbar(u, t) dt at every u, one shared
-            # adaptive pass; the profile is zero where u t^-alpha > x_clip
-            def g(ts):
+            # int_0^{t_cut} e^{-st} vbar(u, t) dt at every u, each u one
+            # point of one adaptive call; the profile is zero where
+            # u t^-alpha > x_clip
+            def g(ts, p):
                 sc = ts ** -alpha
-                return ((np.exp(-s * ts) * sc)[:, None] * prof(
-                    np.outer(sc, us).ravel()).reshape(ts.size, -1))
+                return np.exp(-s * ts) * sc * prof(sc * us[p])
 
-            return integrate_adaptive(g, 0.0, t_cut, 1e-10).value
+            return _integrate_points(
+                g, np.zeros(us.size), np.full(us.size, t_cut),
+                np.arange(us.size), np.full(us.size, 1e-10))[0]
 
     value, _ = _integrate_against_kernel(kernel, np.array([x]), weight, u_hi,
                                          0.2 * tol)

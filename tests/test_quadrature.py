@@ -65,6 +65,16 @@ class TestAdaptive:
             integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 1.0,
                                1e-14, budget=500)
 
+    def test_vector_integrand_rejected(self):
+        with pytest.raises(DomainError, match="one real value per node"):
+            integrate_adaptive(lambda x: np.stack((x, x * x), axis=1),
+                               0.0, 1.0)
+
+    def test_non_finite_integrand_refused(self):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            integrate_adaptive(lambda x: np.where(x > 0.5, np.nan, x),
+                               0.0, 1.0)
+
     def test_empty_interval_rejected(self):
         with pytest.raises(DomainError):
             integrate_adaptive(lambda x: x, 1.0, 0.0)

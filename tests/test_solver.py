@@ -45,7 +45,7 @@ from fracheat import (
     time_density_grid,
     time_moment,
 )
-from fracheat import solver, specfun
+from fracheat import quadrature, solver, specfun
 from fracheat._errors import StencilUnderflowError
 from fracheat.kernel import kernel_moment_numeric
 from fracheat.specfun import (
@@ -249,7 +249,8 @@ def test_time_profile_fit_is_short(monkeypatch, alpha):
         raise AssertionError("a profile build ran a quadrature")
 
     monkeypatch.setattr(solver, "time_density_grid", counted)
-    for name in ("integrate_adaptive", "stable_one_sided_density_grid"):
+    for name in ("integrate_adaptive", "_integrate_points",
+                 "stable_one_sided_density_grid"):
         monkeypatch.setattr(solver, name, forbidden)
     prof = solver._TimeProfile(alpha)
     assert prof._coef.shape[0] <= 17
@@ -345,7 +346,7 @@ def test_time_profile_refusal_comes_before_quadrature(monkeypatch):
         raise AssertionError("quadrature ran before the refusal")
 
     for name in ("integrate_adaptive", "integrate_jacobi_singular",
-                 "_v_integral"):
+                 "_v_integral", "_integrate_points"):
         monkeypatch.setattr(solver, name, forbidden)
     req = SolutionRequest(EquationSpec(3), 0.999, 1.0, (0.0, 1.0),
                           route="subordination")
@@ -392,7 +393,7 @@ def test_fourier_stays_in_float64(monkeypatch):
 def test_subordination_panel_cap_refuses(monkeypatch):
     """A point that needs more panels than the cap refuses with a typed
     error instead of returning a value its bar does not cover."""
-    monkeypatch.setattr(solver, "_V_MAX_PANELS", 8)
+    monkeypatch.setattr(quadrature, "_MAX_PANELS", 8)
     req = SolutionRequest(EquationSpec(3), 0.5, 1.0, (-1.0, 1.0),
                           route="subordination")
     with pytest.raises(ConvergenceError, match="panels"):
@@ -503,6 +504,31 @@ def test_kernel_profile_reproduces_the_contour(monkeypatch,
         assert_allclose(fit.errors, direct.errors, rtol=0.01)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_kernel_profile_refuses_a_kernel_short_of_mass(monkeypatch, n):
+    """A kernel that fits cleanly but holds mass 0.999 is refused: for
+    odd n once the oscillatory tail past the last edge is added."""
+    contour = solver.kernel_density_grid
+
+    def scaled(*args, **kwargs):
+        values, err, evals = contour(*args, **kwargs)
+        return 0.999 * values, err, evals
+
+    monkeypatch.setattr(solver, "kernel_density_grid", scaled)
+    with pytest.raises(ConvergenceError, match="mass"):
+        solver._KernelProfile(n, 1)
+
+
+def test_v_integral_refuses_a_non_finite_integrand():
+    """A NaN in the integrand is refused, not returned with a NaN bar."""
+    kernel = solver._kernel_profile(3, 1)
+    ys = np.array([-1.0, 2.0])
+    with pytest.raises(ConvergenceError, match="non-finite"):
+        solver._v_integral(kernel, ys, np.abs(ys) / kernel.clip_abs, 2.0,
+                           lambda u: np.full(u.shape, np.nan),
+                           np.full(ys.size, 1e-8))
+
+
 def test_second_solve_reuses_the_kernel_profile(monkeypatch):
     spec = EquationSpec(5, -1)
     solve(SolutionRequest(spec, 0.4, 2.0, (-1.0, 0.0, 3.0),
@@ -527,7 +553,7 @@ def test_kernel_profile_refusal_comes_before_quadrature(
         raise AssertionError("quadrature ran before the refusal")
 
     for name in ("integrate_adaptive", "integrate_jacobi_singular",
-                 "_v_integral"):
+                 "_v_integral", "_integrate_points"):
         monkeypatch.setattr(solver, name, forbidden)
     monkeypatch.setattr(solver, "_KERNEL_NODES", 5)
     monkeypatch.setattr(solver, "_FIT_MAX_SPLITS", 0)
@@ -935,20 +961,22 @@ def test_laplace_identity_sweep(n, sign, alpha, x, s):
 
 
 def test_laplace_weight_is_one_time_integral_per_call(monkeypatch):
-    """The time weight takes all of a call's u-nodes in one adaptive
-    integral; one integral per node made 1104 calls for these two checks."""
+    """The time weight takes all of a call's u-nodes, each its own point,
+    in one call of the adaptive engine; one integral per node made 1104
+    calls for these two checks."""
     calls = 0
-    adaptive = solver.integrate_adaptive
+    engine = solver._integrate_points
 
     def counted(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return adaptive(*args, **kwargs)
+        return engine(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "integrate_adaptive", counted)
+    monkeypatch.setattr(solver, "_integrate_points", counted)
     diffs = [laplace_relation_check(EquationSpec(3), 0.5, x, 0.5)
              for x in (-1.0, 1.0)]
-    assert calls < 20
+    # the two v-integrals and at least one time weight each
+    assert 4 <= calls < 20
     assert max(diffs) < 1e-9
 
 
