@@ -38,7 +38,6 @@ from .quadrature import (
     QuadResult,
     _integrate_points,
     euler_tail_sum,
-    integrate_adaptive,
 )
 from .specfun import closed_form
 
@@ -566,12 +565,12 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     error estimate are scaled by ``t^(r/n)``.  ``tol`` is relative to the
     natural magnitude ``r! / Gamma(r/n+1)`` of the moment at ``t = 1``
     and is floored at the noise level that the weight ``x^r`` induces.
-    Even ``n``: one adaptive pass over the truncated interval.  Odd ``n``:
-    adaptive head plus stationary-phase lobe blocks on the algebraically
-    decaying oscillatory side, every block one point of a single
-    :func:`_integrate_points` call, summed with :func:`euler_tail_sum`
-    (the lobe integrals may grow polynomially for large ``r``; the
-    averaging handles that).
+    Even ``n``: the truncated interval is one point of
+    :func:`_integrate_points`.  Odd ``n``: the head and the
+    stationary-phase lobe blocks on the algebraically decaying oscillatory
+    side are the points of one :func:`_integrate_points` call, the blocks
+    summed with :func:`euler_tail_sum` (the lobe integrals may grow
+    polynomially for large ``r``; the averaging handles that).
 
     The error estimate adds to the quadrature's own the tails cut off
     (``0.3 tol`` of the magnitude each) and the kernel values' error
@@ -606,7 +605,7 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
 
     cut = _superexp_cutoff(n, r, tail_tol)
     if n % 2 == 0:
-        reach, tails = cut, 2
+        reach, tails, bounds = cut, 2, np.zeros(1)
     else:
         phase0 = 6.0 * math.pi
         bounds = _phase_point(
@@ -627,41 +626,34 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
             f"moment {r} (about 10^{log_mag / math.log(10.0):.0f}); no "
             "digit of it would be left")
 
-    def result(value: float, quad_err: float, evals: int) -> QuadResult:
-        noise = kernel_err * math.exp(log_weight)
-        return QuadResult(
-            value=grow * value,
-            error_estimate=grow * (quad_err + tails * tail_tol + noise),
-            evaluations=evals)
-
+    # the last point is the head (for even n the whole interval), the
+    # points before it the lobe blocks, each of which starts as two panels
     if n % 2 == 0:
-        # Below this level the adaptive error estimate cannot settle.
-        noise_floor = math.exp(log_noise + log_power(cut))
-        init = max(16, int(2.0 * cut))
-        res = integrate_adaptive(f, -cut, cut, max(abs_tol, noise_floor),
-                                 initial_intervals=init)
-        return result(res.value, res.error_estimate, res.evaluations)
-
-    x_head = float(bounds[0])
-    if spec.osc_dir > 0:
-        lo, hi = -cut, x_head
+        lo, hi, head_tol = -cut, cut, abs_tol
+    elif spec.osc_dir > 0:
+        lo, hi, head_tol = -cut, float(bounds[0]), 0.5 * abs_tol
     else:
-        lo, hi = -x_head, cut
-    init = max(16, int(hi - lo))
-    head_floor = math.exp(log_noise + log_power(max(cut, x_head)))
-    head = integrate_adaptive(f, lo, hi, max(0.5 * abs_tol, head_floor),
-                              initial_intervals=init)
-
-    # every block starts as two panels
+        lo, hi, head_tol = -float(bounds[0]), cut, 0.5 * abs_tol
+    head = np.linspace(lo, hi, max(16, int(hi - lo)) + 1)
     lo_b, hi_b = np.sort(spec.osc_dir * np.stack((bounds[:-1], bounds[1:])),
                          axis=0)
-    edges = np.linspace(lo_b, hi_b, 3, axis=1)
+    blocks = np.linspace(lo_b, hi_b, 3, axis=1)
+    # below these levels the adaptive error estimates cannot settle
+    head_floor = math.exp(log_noise + log_power(max(cut, float(bounds[0]))))
     floors = _KERNEL_NOISE * bounds[1:] ** r * np.diff(bounds)
-    block_vals, block_errs, evals = _integrate_points(
-        lambda xs, _: f(xs), edges[:, :-1].ravel(), edges[:, 1:].ravel(),
-        np.repeat(np.arange(_MOMENT_BLOCKS), 2),
-        np.maximum(0.5 * abs_tol / _MOMENT_BLOCKS, floors))
-    tail_sum, tail_err = euler_tail_sum(block_vals)
-    return result(head.value + tail_sum,
-                  head.error_estimate + float(np.sum(block_errs)) + tail_err,
-                  head.evaluations + evals)
+    values, errs, evals = _integrate_points(
+        lambda xs, _: f(xs),
+        np.concatenate((blocks[:, :-1].ravel(), head[:-1])),
+        np.concatenate((blocks[:, 1:].ravel(), head[1:])),
+        np.concatenate((np.repeat(np.arange(floors.size), 2),
+                        np.full(head.size - 1, floors.size))),
+        np.append(np.maximum(0.5 * abs_tol / _MOMENT_BLOCKS, floors),
+                  max(head_tol, head_floor)))
+    tail_sum, tail_err = (euler_tail_sum(values[:-1]) if n % 2
+                          else (0.0, 0.0))
+    quad_err = float(errs[-1]) + float(np.sum(errs[:-1])) + tail_err
+    noise = kernel_err * math.exp(log_weight)
+    return QuadResult(
+        value=grow * (float(values[-1]) + tail_sum),
+        error_estimate=grow * (quad_err + tails * tail_tol + noise),
+        evaluations=evals)

@@ -6,14 +6,16 @@
 * :func:`integrate_adaptive` -- one real integrand on a finite interval,
   a one-point call of that engine.
 * :func:`integrate_jacobi_singular` -- Gauss-Jacobi rules for integrands with
-  an algebraic endpoint singularity, with node doubling and a split
-  fallback through :func:`integrate_adaptive`.
+  an algebraic endpoint singularity, with node doubling and, where that
+  stalls, one two-point call of the engine.
 * :func:`euler_tail_sum` -- an iterated-averaging summer for the slowly
   decaying (or polynomially growing) alternating block sums that
   oscillatory tails produce.
 
 The two public integrators report a :class:`QuadResult` carrying the value,
-an error estimate, and the number of integrand evaluations spent.
+an error estimate, and the number of integrand evaluations spent.  The
+engine's cap of ``_MAX_PANELS`` panels per point is the only rule by which
+they refuse.
 """
 from __future__ import annotations
 
@@ -27,9 +29,6 @@ from scipy.special import roots_jacobi
 from ._errors import ConvergenceError, DomainError
 
 DEFAULT_TOL = 1e-9
-
-#: Hard cap on integrand evaluations for one adaptive call.
-EVAL_BUDGET = 1 << 20
 
 #: adaptive engine: Gauss-Legendre nodes per half panel, panel cap per
 #: point, and nodes per evaluation chunk (about 2 MB of work arrays)
@@ -75,7 +74,7 @@ class JacobiWeight:
 
 
 def _integrate_points(f, a: np.ndarray, b: np.ndarray, pt: np.ndarray,
-                      budget: np.ndarray, max_panels: int | None = None
+                      budget: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray, int]:
     """``int f`` over the starting panels ``[a, b]`` of every point, summed
     per point ``pt`` (an index into ``budget``), each within its budget.
@@ -87,13 +86,12 @@ def _integrate_points(f, a: np.ndarray, b: np.ndarray, pt: np.ndarray,
     rounding floor is ``64 eps`` times the summed magnitudes of its
     half-panel rules, the panels above their mean share of the budget are
     halved, all points in one array, until each point stops or refuses at
-    ``max_panels`` panels (default ``_MAX_PANELS``).  A non-finite
-    integrand refuses too.  Returns the half-panel sums, the summed
-    differences plus the floor, and the number of evaluations.
+    ``_MAX_PANELS`` panels.  A non-finite integrand refuses too.  Returns
+    the half-panel sums, the summed differences plus the floor, and the
+    number of evaluations.
     """
     node, ref = _GL
     rows = _CHUNK // _NODES
-    cap = _MAX_PANELS if max_panels is None else max_panels
     evals = 0
 
     def rule(a, b, pt):
@@ -132,7 +130,7 @@ def _integrate_points(f, a: np.ndarray, b: np.ndarray, pt: np.ndarray,
         if not np.any(over):
             break
         count = np.bincount(pt, minlength=budget.size)
-        if np.max(count[over]) >= cap:
+        if np.max(count[over]) >= _MAX_PANELS:
             i = int(np.argmax(np.where(over, count, -1)))
             raise ConvergenceError(
                 f"adaptive quadrature of point {i} misses its budget "
@@ -151,17 +149,15 @@ def _integrate_points(f, a: np.ndarray, b: np.ndarray, pt: np.ndarray,
 
 
 def integrate_adaptive(f, a: float, b: float, tol: float = DEFAULT_TOL, *,
-                       budget: int = EVAL_BUDGET,
                        initial_intervals: int = 1) -> QuadResult:
     """Integrate the real integrand ``f`` over the finite interval
     ``[a, b]`` within the absolute tolerance ``tol``.
 
     ``f`` takes an ndarray of abscissae and returns one value per
     abscissa.  This is one point of :func:`_integrate_points`, starting
-    from ``initial_intervals`` equal panels; the evaluation ``budget``
-    caps its panels at ``budget // (3 * _NODES)``.  Raises
-    :class:`ConvergenceError` when a point at that cap still misses
-    ``tol`` or the integrand is not finite.
+    from ``initial_intervals`` equal panels.  Raises
+    :class:`ConvergenceError` when it still misses ``tol`` at the
+    engine's panel cap or the integrand is not finite.
     """
     if not (b > a):
         if b == a:
@@ -172,10 +168,21 @@ def integrate_adaptive(f, a: float, b: float, tol: float = DEFAULT_TOL, *,
     edges = np.linspace(a, b, initial_intervals + 1)
     value, err, evals = _integrate_points(
         lambda x, _: f(x), edges[:-1], edges[1:],
-        np.zeros(initial_intervals, int), np.array([float(tol)]),
-        budget // (3 * _NODES))
+        np.zeros(initial_intervals, int), np.array([float(tol)]))
     return QuadResult(value=float(value[0]), error_estimate=float(err[0]),
                       evaluations=evals)
+
+
+@lru_cache(maxsize=128)
+def _euler_weights(m: int) -> np.ndarray:
+    """Weights on the ``m`` partial sums of the last entries of the last
+    four averaging levels: after ``j`` averagings the last entry is
+    ``sum_i C(j, i) S[m-1-j+i] / 2^j``.  One row per level, ``(4, m)``."""
+    rows = [np.ones(1)]
+    while len(rows) < m:
+        row = rows[-1]
+        rows.append(0.5 * (np.append(row, 0.0) + np.append(0.0, row)))
+    return np.stack([np.pad(row, (m - row.size, 0)) for row in rows[-4:]])
 
 
 def euler_tail_sum(blocks):
@@ -185,19 +192,18 @@ def euler_tail_sum(blocks):
     This converges for oscillatory tails whose lobes decay slowly or even
     grow polynomially (the averaging triangle annihilates polynomial
     growth order by order, then contracts geometrically on the smooth
-    remainder).  Returns ``(sum, error_estimate)``, each shaped like
-    ``blocks`` without its last axis.
+    remainder).  The averaging is linear in the partial sums, so the last
+    entries of its last four levels are one weighted sum each
+    (:func:`_euler_weights`), taken elementwise so that every row of a
+    2-D call sums as it would alone.  Returns ``(sum, error_estimate)``,
+    each shaped like ``blocks`` without its last axis.
     """
     blocks = np.asarray(blocks, dtype=float)
     if blocks.ndim == 0 or blocks.shape[-1] < 4:
         raise DomainError("tail summation needs at least 4 blocks")
-    row = np.cumsum(blocks, axis=-1)
-    diagonal = [row[..., -1]]
-    while row.shape[-1] > 1:
-        row = 0.5 * (row[..., :-1] + row[..., 1:])
-        diagonal.append(row[..., -1])
-    tail = np.stack(diagonal[-4:], axis=-1)
-    return diagonal[-1], np.max(np.abs(np.diff(tail, axis=-1)), axis=-1)
+    tail = (np.cumsum(blocks, axis=-1)[..., None, :]
+            * _euler_weights(blocks.shape[-1])).sum(axis=-1)
+    return tail[..., -1], np.max(np.abs(np.diff(tail, axis=-1)), axis=-1)
 
 
 @lru_cache(maxsize=64)
@@ -219,17 +225,20 @@ def _jacobi_rule(n: int, exponent: float, endpoint: str, a: float, b: float):
 
 
 def integrate_jacobi_singular(f, a: float, b: float, weight: JacobiWeight,
-                              tol: float = DEFAULT_TOL, *,
-                              budget: int = EVAL_BUDGET,
-                              _depth: int = 0) -> QuadResult:
+                              tol: float = DEFAULT_TOL) -> QuadResult:
     """Integrate ``f(x) * (x-a)**e`` (or ``(b-x)**e``) over ``[a, b]``.
 
-    ``f`` itself must be smooth; the singular endpoint factor is carried by
-    the Gauss-Jacobi weight.  The rule size doubles until two successive
-    sizes agree within ``tol``.  If doubling stalls (the smooth factor varies
-    on a scale the global rule cannot resolve), the interval is split: the
-    half away from the singular endpoint is integrated adaptively with the
-    weight folded into the integrand, and the singular half recurses.
+    The singular endpoint factor is carried by the Gauss-Jacobi weight.
+    The rule size doubles from 8 to 1024 nodes until two successive sizes
+    agree within ``tol``.  If doubling stalls (the smooth factor varies on
+    a scale the global rule cannot resolve), the halves of ``[a, b]``
+    become the two points of one :func:`_integrate_points` call, each
+    within ``tol / 2``: the half away from the singular endpoint with the
+    weight folded into the integrand, the singular half under
+    ``x - end = +-h w**p``, ``p = 1 / (1 + e)``, ``w`` in ``[0, 1]``,
+    where the weight times the Jacobian is the constant ``p h**(1 + e)``.
+    That fallback's error estimate is the engine's, which assumes a smooth
+    integrand on each panel.
     """
     if not b > a:
         raise DomainError(f"empty interval [{a}, {b}]")
@@ -248,32 +257,25 @@ def integrate_jacobi_singular(f, a: float, b: float, weight: JacobiWeight,
         prev = cur
         n *= 2
 
-    if _depth >= 48:
-        raise ConvergenceError(
-            f"Gauss-Jacobi rule failed to converge on [{a}, {b}] "
-            f"after {_depth} splits"
-        )
-
-    mid = 0.5 * (a + b)
+    e, h, mid = weight.exponent, 0.5 * (b - a), 0.5 * (a + b)
+    p = 1.0 / (1.0 + e)
     left = weight.endpoint == "left"
-    end = a if left else b
-    smooth = (mid, b) if left else (a, mid)
-    singular = (a, mid) if left else (mid, b)
+    end, toward = (a, 1.0) if left else (b, -1.0)
 
-    def plain(x):
-        x = np.asarray(x)
-        return np.asarray(f(x)) * np.abs(x - end) ** weight.exponent
+    def halves(x, pt):
+        # point 0 is the half away from the singular end, in x; point 1
+        # the singular half, in w
+        sing = pt == 1
+        x = x.copy()
+        x[sing] = end + toward * h * x[sing] ** p
+        factor = np.abs(x - end) ** e
+        factor[sing] = p * h ** (1.0 + e)
+        return np.asarray(f(x)) * factor
 
-    smooth_res = integrate_adaptive(plain, *smooth, 0.5 * tol,
-                                    budget=budget - evals)
-    sing = integrate_jacobi_singular(
-        f, *singular, weight, 0.5 * tol,
-        budget=budget - evals - smooth_res.evaluations, _depth=_depth + 1)
-    # The recursive singular piece carries the weight relative to its own
-    # endpoint, which coincides with the original singular endpoint, so the
-    # weight factor is unchanged.
-    return QuadResult(
-        value=smooth_res.value + sing.value,
-        error_estimate=smooth_res.error_estimate + sing.error_estimate,
-        evaluations=evals + smooth_res.evaluations + sing.evaluations,
-    )
+    value, err, more = _integrate_points(
+        halves, np.array([mid if left else a, 0.0]),
+        np.array([b if left else mid, 1.0]), np.arange(2),
+        np.full(2, 0.5 * tol))
+    return QuadResult(value=float(value.sum()),
+                      error_estimate=float(err.sum()),
+                      evaluations=evals + more)

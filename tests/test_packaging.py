@@ -119,6 +119,21 @@ def test_every_private_constant_is_read():
     assert sorted(assigned - read) == []
 
 
+def test_no_function_calls_itself():
+    """No recursion: no function defined in ``src/fracheat`` calls itself
+    by its own name."""
+    recursive = []
+    for path in sorted((SRC / "fracheat").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                recursive += [
+                    f"{path.stem}.{node.name}" for call in ast.walk(node)
+                    if isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == node.name]
+    assert recursive == []
+
+
 def test_every_private_definition_is_read(monkeypatch):
     """No dead private code: each module-level ``def _x`` or ``class _X``
     in ``src/fracheat`` is read in its own module, imported by name from

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 
-from fracheat import kernel
+from fracheat import kernel, quadrature
 from fracheat._errors import ConvergenceError, DomainError
 from fracheat.kernel import (
     EquationSpec,
@@ -59,11 +59,12 @@ class TestAdaptive:
                                  1e-10)
         assert_allclose(res.value, 2.0 / SQRT_PI, atol=1e-9)
 
-    def test_budget_exhaustion_raises(self):
-        # Hundreds of cycles cannot be resolved inside a 500-point budget.
-        with pytest.raises(ConvergenceError):
+    def test_budget_exhaustion_raises(self, monkeypatch):
+        # Hundreds of cycles cannot be resolved on 16 panels.
+        monkeypatch.setattr(quadrature, "_MAX_PANELS", 16)
+        with pytest.raises(ConvergenceError, match="panels"):
             integrate_adaptive(lambda x: np.sin(1000.0 * x), 0.0, 1.0,
-                               1e-14, budget=500)
+                               1e-14)
 
     def test_vector_integrand_rejected(self):
         with pytest.raises(DomainError, match="one real value per node"):
@@ -126,6 +127,32 @@ class TestJacobiSingular:
         res = integrate_jacobi_singular(lambda w: w ** 0.3, 0.0, 1.0,
                                         JacobiWeight(-0.7, "right"), 1e-10)
         assert_allclose(res.value, oracle, atol=1e-8)
+
+    @pytest.mark.parametrize("f, exponent, tol", [
+        (lambda w: w ** -0.5, -0.5, 1e-9),
+        (lambda w: w ** 0.3, -0.7, 1e-10),
+    ], ids=["beta_half_half", "power_times_power"])
+    def test_stalled_rule_finishes_in_one_engine_call(self, monkeypatch, f,
+                                                      exponent, tol):
+        """Where doubling the rule stalls, both halves of the interval go
+        through one engine call, without recursion."""
+        calls = {"engine": 0, "jacobi": 0}
+
+        def counted(name, inner):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(quadrature, "_integrate_points",
+                            counted("engine", quadrature._integrate_points))
+        monkeypatch.setattr(
+            quadrature, "integrate_jacobi_singular",
+            counted("jacobi", quadrature.integrate_jacobi_singular))
+        res = quadrature.integrate_jacobi_singular(
+            f, 0.0, 1.0, JacobiWeight(exponent, "right"), tol)
+        assert calls == {"engine": 1, "jacobi": 1}
+        assert res.evaluations > 2040  # the doubling ran to 1024 nodes
 
     @pytest.mark.parametrize("exponent",
                              [-0.1, -0.2, -0.3, -0.4, -0.5,
@@ -299,6 +326,28 @@ class TestEulerTailSum:
         assert values.shape == errs.shape == (6,)
         for row, value, err in zip(blocks, values, errs):
             assert (value, err) == euler_tail_sum(row)
+
+    @pytest.mark.parametrize("shape", [(), (5,)], ids=["row", "block"])
+    def test_matches_the_averaging_triangle(self, shape):
+        """The weighted sums equal averaging the partial sums over and
+        over, row by row, up to the rounding of the partial sums."""
+        rng = np.random.default_rng(11)
+        for m in range(4, 145):
+            j = np.arange(m)
+            blocks = ((-1.0) ** j * (j + 1.0) ** rng.uniform(-1.5, 2.0)
+                      * rng.uniform(0.5, 2.0, shape + (m,)))
+            row = np.cumsum(blocks, axis=-1)
+            scale = 64.0 * np.finfo(float).eps * np.max(np.abs(row), axis=-1)
+            last = [row[..., -1]]
+            while row.shape[-1] > 1:
+                row = 0.5 * (row[..., :-1] + row[..., 1:])
+                last.append(row[..., -1])
+            tail = np.stack(last[-4:], axis=-1)
+            value, err = euler_tail_sum(blocks)
+            assert np.all(np.abs(value - last[-1]) <= scale)
+            assert np.all(np.abs(
+                err - np.max(np.abs(np.diff(tail, axis=-1)), axis=-1))
+                <= 2.0 * scale)
 
     def test_rejects_short_input(self):
         with pytest.raises(DomainError):

@@ -239,7 +239,9 @@ class TestMittagLeffler:
 
     def test_grid_matches_pointwise(self):
         p = MLParams(alpha=0.8)
-        zs = np.array([-0.5, -8.0, -40.0, 3j, -2 + 1j], dtype=complex)
+        # the Taylor disc |z|^(1/alpha) <= 6.9 and the contour beyond
+        zs = np.array([-0.5, -8.0, -40.0, 3j, -2 + 1j, 0.0, 0.9, -3.2,
+                       2.5, 0.25j, -1.7 + 0.4j, 1.1 - 2.6j], dtype=complex)
         grid_vals, grid_errs = mittag_leffler_grid(zs, p)
         for i, z in enumerate(zs):
             v = _ml_one(z, 0.8)
