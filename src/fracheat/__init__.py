@@ -6,8 +6,9 @@ The package evaluates the fundamental solution of
     d^alpha u / dt^alpha = k_n d^n u / dx^n,    u(x, 0) = delta(x),
 
 with a Dzherbashyan-Caputo time derivative of order alpha in (0, 1], by
-two analytic routes that share no code below :func:`solve`: the signed
-kernel subordinated by the random time (whose density,
+two analytic routes that share only the rules and blocks of
+``quadrature.py`` below :func:`solve`: the signed kernel subordinated by
+the random time (whose density,
 :func:`time_density_grid`, comes from the first-passage duality with the
 one-sided stable law), and Fourier inversion through the Mittag-Leffler
 function.  Their agreement checks both; the Laplace-transform identity

@@ -29,15 +29,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from ._errors import ConvergenceError, DomainError, require_positive
 from .quadrature import (
     DEFAULT_TOL,
     QuadResult,
+    _chunks,
     _integrate_points,
     euler_tail_sum,
+    gauss_legendre,
 )
 from .specfun import closed_form
 
@@ -148,10 +149,6 @@ _SADDLE_SWITCH = 2.0
 #: nodes of one leg: both rules, at s = j _SADDLE_STEP / 2, |s| <= _SADDLE_S
 _SADDLE_NODES = 2 * math.ceil(2.0 * _SADDLE_S / _SADDLE_STEP) + 1
 
-#: elements of one (points x nodes) pass, as in the subordination
-#: evaluator: 128 kB per float array
-_PATH_CHUNK = 1 << 14
-
 _EPS = float(np.finfo(float).eps)
 
 
@@ -163,29 +160,13 @@ def _ray_rules(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     phase, whatever ``|y|``, so an even ray (``theta = pi/(4n)``) needs
     more nodes than an odd one (``pi/(2n)``); at these sizes both rules
     have converged to rounding over every point the kernel profile
-    reads."""
+    reads.  Both are :func:`gauss_legendre`'s, whose end weights, where a
+    ray's integrand is largest, are exact to 1e-13."""
     m = (12 if n % 2 == 0 else 8) * n + 24
-    x, w = np.concatenate([_gauss_legendre(size) for size in (m, m + 16)],
+    x, w = np.concatenate([gauss_legendre(size) for size in (m, m + 16)],
                           axis=1)
     x = 0.5 * (x + 1.0)
     return x, 0.5 * w, x ** n, m
-
-
-def _gauss_legendre(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``leggauss(m)`` with its nodes polished by Newton steps on the
-    three-term recurrence and the weights taken from ``P_m'``.  The
-    weights of ``leggauss`` next to the ends, where a ray's integrand is
-    largest, are off by up to 7e-12 relative at ``m = 136``; these by
-    2e-13, about the rounding of their nodes."""
-    x = leggauss(m)[0]
-    for newton in (True, True, False):
-        p0, p1, dp = np.ones(m), x, np.ones(m)
-        for k in range(2, m + 1):
-            dp = x * dp + k * p1
-            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-        if newton:
-            x = x - p1 / dp
-    return x, 2.0 / ((1.0 - x) * (1.0 + x) * dp * dp)
 
 
 def _ray(n: int, y: np.ndarray, theta: np.ndarray, cn: complex,
@@ -224,19 +205,17 @@ def _ray(n: int, y: np.ndarray, theta: np.ndarray, cn: complex,
     lin_re, lin_im = -a * radius, y * np.cos(theta) * radius
     phase = theta + deriv * (theta + 0.5 * math.pi)
     sums, rounding = np.empty((2, y.size)), np.empty(y.size)
-    rows = max(1, _PATH_CHUNK // x.size)
-    for c in range(0, y.size, rows):
-        sl = slice(c, c + rows)
-        re = lin_re[sl, None] * x + (cn.real * pw[sl, None]) * xn
-        im = (lin_im[sl, None] * x + (cn.imag * pw[sl, None]) * xn
-              + phase[sl, None])
-        mod = np.exp(re) * (radius[sl, None] * w)
+    for idx in _chunks(y.size, x.size):
+        re = lin_re[idx, None] * x + (cn.real * pw[idx, None]) * xn
+        im = (lin_im[idx, None] * x + (cn.imag * pw[idx, None]) * xn
+              + phase[idx, None])
+        mod = np.exp(re) * (radius[idx, None] * w)
         if deriv:
-            mod *= (radius[sl, None] * x) ** deriv
+            mod *= (radius[idx, None] * x) ** deriv
         terms = mod * np.cos(im)
-        sums[0, sl] = terms[:, :m].sum(axis=1)
-        sums[1, sl] = terms[:, m:].sum(axis=1)
-        rounding[sl] = (mod * (8.0 - re + np.abs(im)))[:, m:].sum(axis=1)
+        sums[0, idx] = terms[:, :m].sum(axis=1)
+        sums[1, idx] = terms[:, m:].sum(axis=1)
+        rounding[idx] = (mod * (8.0 - re + np.abs(im)))[:, m:].sum(axis=1)
     return sums[1], np.abs(sums[1] - sums[0]) + _EPS * rounding + tail
 
 
@@ -403,11 +382,12 @@ def kernel_contour_values(spec: EquationSpec, x, tol: float = DEFAULT_TOL):
     :func:`kernel_density_grid` checks the arguments.
 
     Each point has its own path (see :func:`_path_values`) and a fixed
-    rule, and all points go through one (points x nodes) array in chunks
-    of about ``_PATH_CHUNK`` elements, so a value does not depend on the
-    other points of the request.  Returns ``(values, error_estimate,
-    evaluations)``: the largest bar and the nodes of all paths.  A point
-    whose bar misses ``tol`` raises :class:`ConvergenceError`.
+    rule, and all points go through one (points x nodes) array in the
+    blocks of :func:`~fracheat.quadrature._chunks`, so a value does not
+    depend on the other points of the request.  Returns ``(values,
+    error_estimate, evaluations)``: the largest bar and the nodes of all
+    paths.  A point whose bar misses ``tol`` raises
+    :class:`ConvergenceError`.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if x.size == 0:

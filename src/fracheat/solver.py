@@ -3,8 +3,10 @@
 :func:`solve` serves both.  Subordination integrates the signed space
 kernel against the random-time density over the operational time axis;
 Fourier inversion inverts the characteristic function, a Mittag-Leffler
-function of the spatial symbol.  The two representations share no code
-below the top level, so their agreement is a genuine cross-check of both.
+function of the spatial symbol.  Below the top level they share only the
+Gauss-Legendre rules and the block rule of ``quadrature.py``; their
+integrands, paths and error models are separate, so their agreement is a
+genuine cross-check of both.
 Either runs once at ``t = 1``: the solution is self-similar, so ``solve``
 maps every other ``t`` onto that one solve.
 
@@ -21,7 +23,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebval
-from numpy.polynomial.legendre import leggauss
 from scipy.fft import dct
 from scipy.special import gamma as gamma_fn, gammaln, rgamma, sici
 
@@ -41,8 +42,9 @@ from .kernel import (
     make_equation_spec,
 )
 from .quadrature import (
-    _CHUNK,
     JacobiWeight,
+    _chunks,
+    _gl_panels,
     _integrate_points,
     euler_tail_sum,
     integrate_jacobi_singular,
@@ -90,20 +92,17 @@ _KERNEL_PHASE = 6.0
 _KERNEL_NODES = 20
 _KERNEL_FIT_TOL = 1e-13
 
-#: the oscillatory-side head starts at this stationary-phase angle
+#: the oscillatory-side head: first stationary-phase angle, phase blocks,
+#: nodes per block, and the fewest blocks its tail summation takes
 _OSC_PHASE0 = 6.0 * math.pi
 _OSC_BLOCKS = 72
 _OSC_NODES = 10
+_OSC_MIN_BLOCKS = 5
 
 #: subordination in v = u^(1/n): geometric panel ratio, and uniform
 #: panels across [0, v_hi]
 _V_RATIO = 2.0
 _V_UNIFORM = 4
-
-#: Gauss-Legendre rules, built once
-_GL_OSC = leggauss(_OSC_NODES)
-_GL16 = leggauss(16)
-
 
 #: zero the kernel profile on decaying sides once the saddle bound
 #: guarantees |phi| <= e^-70
@@ -115,10 +114,9 @@ _FOURIER_TAIL_TERMS = 6
 #: the Fourier tail starts where the pole component is below e^-_POLE_LOG
 _POLE_LOG = 21.0
 
-#: Fourier head: panel cap per request, and elements of one (nodes x
-#: points) phase chunk (1 MB)
+#: Fourier head: Gauss-Legendre nodes per panel and panel cap per request
+_HEAD_NODES = 16
 _HEAD_MAX_PANELS = 4096
-_HEAD_CHUNK = 1 << 16
 
 #: |x| B up to which the tail transforms recur upward from r = 1; beyond
 #: it they come from the continued fraction
@@ -185,16 +183,6 @@ class SolutionField:
 # ---------------------------------------------------------------------------
 # Shared evaluators for the subordination integral
 # ---------------------------------------------------------------------------
-
-def _gl_panels(edges: np.ndarray, rule) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of a Gauss-Legendre ``rule`` on every panel
-    between consecutive ``edges``, panel by panel."""
-    half, ref = rule
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    rad = 0.5 * (edges[1:] - edges[:-1])
-    return ((mid[:, None] + rad[:, None] * half).ravel(),
-            (rad[:, None] * ref).ravel())
-
 
 class _Chebyshev:
     """Piecewise Chebyshev interpolant of ``f`` on ``[edges[0], edges[-1]]``,
@@ -328,11 +316,11 @@ class _KernelProfile(_Chebyshev):
         if self.osc_dir:
             # the phase blocks' nodes, with the profile taken on them once
             self._osc_nodes, self._osc_weights = _gl_panels(self.osc_edges,
-                                                            _GL_OSC)
+                                                            _OSC_NODES)
             self._osc_vals = self(self.osc_dir * self._osc_nodes)
             tail_edges = _phase_point(n, _OSC_PHASE0 + math.pi * np.arange(
                 _OSC_BLOCKS, 2 * _OSC_BLOCKS + 1))
-            nodes, weights = _gl_panels(tail_edges, _GL_OSC)
+            nodes, weights = _gl_panels(tail_edges, _OSC_NODES)
             values, err, _ = kernel_density_grid(
                 self.spec, self.osc_dir * nodes, 1.0, _KERNEL_TOL)
             tail, tail_err = euler_tail_sum(
@@ -353,22 +341,21 @@ class _KernelProfile(_Chebyshev):
         ``n |y|^{n-1} int z^{-n} phi(s z) weight((|y|/z)^n) dz`` over the
         phase blocks from ``j0`` on (edges at stationary-phase angles
         ``6 pi, 7 pi, ...``), summed per point by :func:`euler_tail_sum`,
-        one call per ``j0``.  Past the last edge it is only bounded, by the
-        last block (the lobes keep shrinking, so it bounds the rest)."""
+        one call per ``j0``; each ``j0`` leaves at least
+        ``_OSC_MIN_BLOCKS`` blocks."""
         n = self.spec.n
         ax = np.abs(ys)[:, None]
         blocks = np.empty((ax.size, _OSC_BLOCKS))
-        rows = max(1, _CHUNK // self._osc_nodes.size)
-        for c in range(0, ax.size, rows):
-            a = ax[c:c + rows]
+        for idx in _chunks(ax.size, self._osc_nodes.size):
+            a = ax[idx]
             wv = weight(((a / self._osc_nodes) ** n).ravel())
             contrib = (n * a ** (n - 1) * self._osc_weights
                        * self._osc_nodes ** float(-n) * self._osc_vals
                        * wv.reshape(a.size, -1))
-            blocks[c:c + rows] = contrib.reshape(
+            blocks[idx] = contrib.reshape(
                 a.size, _OSC_BLOCKS, _OSC_NODES).sum(axis=2)
-        values, errors = np.zeros(ax.size), np.abs(blocks[:, -1])
-        for j in np.unique(j0[j0 < _OSC_BLOCKS]):
+        values, errors = np.empty(ax.size), np.empty(ax.size)
+        for j in np.unique(j0):
             at = j0 == j
             values[at], errors[at] = euler_tail_sum(blocks[at, j:])
         return values, errors
@@ -476,7 +463,8 @@ def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
     one row of :func:`_v_integral`, from where ``phi(y / v)`` starts: the
     saddle bound ``clip_abs`` on a decaying side; on the oscillatory side
     of odd ``n`` a phase-block edge, below which the ``u -> 0`` end is
-    folded into the blocks of :meth:`_KernelProfile.head`.
+    folded into the blocks of :meth:`_KernelProfile.head`, or, where fewer
+    than ``_OSC_MIN_BLOCKS`` would remain, :class:`ConvergenceError`.
     """
     n = kernel.spec.n
     values, errors = np.zeros(ys.size), np.zeros(ys.size)
@@ -494,10 +482,13 @@ def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
     v_lo = np.abs(ys) / kernel.clip_abs
     osc = (ys != 0.0) & (np.sign(ys) == kernel.osc_dir)
     if np.any(osc):
-        # the phase blocks take over at the first edge past |y| / v_hi, or
-        # at the last edge where fewer than five blocks would remain
+        # the phase blocks take over at the first edge past |y| / v_hi
         j0 = np.searchsorted(kernel.osc_edges, np.abs(ys) / v_hi)
-        j0[j0 > _OSC_BLOCKS - 5] = _OSC_BLOCKS
+        far = osc & (j0 > _OSC_BLOCKS - _OSC_MIN_BLOCKS)
+        if np.any(far):
+            raise ConvergenceError(
+                f"oscillatory head of n={n} at y={ys[np.argmax(far)]:g} "
+                f"has fewer than {_OSC_MIN_BLOCKS} phase blocks to sum")
         v_lo[osc] = np.abs(ys[osc]) / kernel.osc_edges[j0[osc]]
     body = (ys != 0.0) & (v_lo < v_hi)
     if np.any(body):
@@ -671,16 +662,15 @@ def _fourier_head(xs: np.ndarray, A: complex, alpha: float, n: int,
     edges[0], edges[-1] = 0.0, B
 
     def transform(es: np.ndarray) -> tuple[np.ndarray, float]:
-        bs, ws = _gl_panels(es, _GL16)
+        bs, ws = _gl_panels(es, _HEAD_NODES)
         z = A * bs.astype(complex) ** n
         vals, errs = mittag_leffler_grid(z, MLParams(alpha=alpha))
         weighted, minus_ib = ws * vals, -1j * bs
         out = np.empty(xs.size)
-        cols = max(1, _HEAD_CHUNK // bs.size)
-        for i in range(0, xs.size, cols):
-            phases = np.outer(minus_ib, xs[i:i + cols])
+        for idx in _chunks(xs.size, bs.size):
+            phases = np.outer(minus_ib, xs[idx])
             np.exp(phases, out=phases)
-            out[i:i + cols] = (weighted @ phases).real
+            out[idx] = (weighted @ phases).real
         return out, float(np.max(errs))
 
     v_fine, ml_fine = transform(edges)

@@ -20,11 +20,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import mpmath as mp
 import numpy as np
-from scipy.special import gammaln, rgamma, roots_legendre, wofz
+from scipy.special import gammaln, rgamma, wofz
 
 from ._errors import (
     ConvergenceError,
@@ -32,6 +31,7 @@ from ._errors import (
     SeriesRangeError,
     require_alpha,
 )
+from .quadrature import _chunks, _gl_panels
 
 #: Condition number (max |term| / |sum|) up to which a float64 compensated
 #: sum keeps ~12 significant digits.
@@ -184,17 +184,6 @@ def _tiered_series(x: np.ndarray, pred: np.ndarray, series_f64, series_mp,
     for i in np.flatnonzero(need_mp):
         values[i] = series_mp(float(x[i]), max(float(pred[i]), 4.0))
     return values
-
-
-def _chunks(width: np.ndarray, size: int):
-    """Index arrays over the points, widest first, each a block of at most
-    ``size`` elements (points x its first width) or of one point."""
-    order = np.argsort(-width)
-    start = 0
-    while start < order.size:
-        rows = max(1, size // int(width[order[start]]))
-        yield order[start:start + rows]
-        start += rows
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +355,7 @@ def _ml_taylor_f64(z: np.ndarray,
     The term count runs past the peak until ``|z|^k / Gamma(alpha k + 1)``
     is below 1e-18.  For small alpha the Gamma factor grows so slowly that
     this takes many times the peak index.  All points sum all terms as one
-    (terms x points) array, in chunks of ``_ML_CHUNK`` elements; reducing
+    (terms x points) array, in the blocks of :func:`_chunks`; reducing
     down the terms adds each point's terms in order.  The rounding bound
     is ``8 eps`` times the sum of the terms' moduli: against the
     extended-precision sum the error stays below ``3.4 eps`` times it for
@@ -384,14 +373,13 @@ def _ml_taylor_f64(z: np.ndarray,
     rg = rgamma(alpha * np.arange(n_terms, dtype=float) + 1.0)
     s = np.empty_like(z)
     abs_sum = np.empty(z.shape)
-    rows = max(1, _ML_CHUNK // n_terms)
-    for c in range(0, z.size, rows):
-        terms = np.repeat(z[None, c:c + rows], n_terms, axis=0)
+    for idx in _chunks(z.size, n_terms):
+        terms = np.repeat(z[None, idx], n_terms, axis=0)
         terms[0] = 1.0
         terms = np.cumprod(terms, axis=0)
         terms *= rg[:, None]
-        s[c:c + rows] = terms.sum(axis=0)
-        abs_sum[c:c + rows] = np.abs(terms).sum(axis=0)
+        s[idx] = terms.sum(axis=0)
+        abs_sum[idx] = np.abs(terms).sum(axis=0)
     return s, 8.0 * np.finfo(float).eps * abs_sum
 
 
@@ -468,9 +456,6 @@ def _ml_asymptotic(z: complex, alpha: float) -> tuple[complex, float]:
 #: (Garrappa's epsilon).
 _ML_CONTOUR_TOL = 1e-15
 _LOG_EPS = math.log(np.finfo(float).eps)
-#: Elements of one (points x contour nodes) or (Taylor terms x points)
-#: chunk: the contour's four complex arrays take 1 MB.
-_ML_CHUNK = 1 << 14
 
 
 def _ml_parabola(sq_bar, log_tol: float) -> tuple[np.ndarray, ...]:
@@ -600,8 +585,8 @@ def _ml_contour(z: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
     values = np.empty(z.shape, dtype=complex)
     sum_abs = np.empty(z.shape)
-    # chunks of similar N waste few masked nodes
-    for idx in _chunks(2.0 * n + 1.0, _ML_CHUNK):
+    # blocks of similar N waste few masked nodes
+    for idx in _chunks(z.size, 2.0 * n + 1.0):
         n_max = int(n[idx[0]])
         k = np.arange(-n_max, n_max + 1)
         u = h[idx, None] * k
@@ -698,7 +683,7 @@ def _stable_series_f64(w: np.ndarray, alpha: float, log_u: np.ndarray):
     log_coef = gammaln(alpha * ks + 1.0) - gammaln(ks + 1.0)
     signed_sin = np.where(ks % 2 == 1, 1.0, -1.0) * np.sin(np.pi * alpha * ks)
     total, cond = np.empty(w.size), np.empty(w.size)
-    for idx in _chunks(n_terms, _STABLE_CHUNK):
+    for idx in _chunks(w.size, n_terms):
         k = ks[:n_terms[idx[0]]]
         # One dense (argument, term) block: numpy's pairwise summation keeps
         # the rounding at ~log2(n) eps per max term; the caller trusts the
@@ -724,20 +709,6 @@ _ZOLOTAREV_NODE_LADDER = (240, 480, 960, 1920)
 #: log-space terms carry ~1e-13 relative rounding each, so past a few units
 #: of cancellation the positive Zolotarev integral is the more accurate.
 _STABLE_SERIES_COND = 3.0
-
-#: Elements of one block of the stable density's work arrays (about 1 MB)
-_STABLE_CHUNK = 1 << 15
-
-
-@lru_cache(maxsize=None)
-def _zolotarev_rule(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights on [0, pi].
-
-    scipy's generator works in O(n) memory; numpy's ``leggauss`` builds an
-    n x n companion matrix, ~60 MB at the top rung.
-    """
-    nodes, weights = roots_legendre(n_nodes)
-    return 0.5 * math.pi * (nodes + 1.0), 0.5 * math.pi * weights
 
 
 def _zolotarev_values(w: np.ndarray, alpha: float,
@@ -765,12 +736,12 @@ def _zolotarev_values(w: np.ndarray, alpha: float,
     log_cs = -frac * log_x
 
     def eval_rule(n_nodes: int, idx: np.ndarray) -> np.ndarray:
-        theta, wts = _zolotarev_rule(n_nodes)
+        theta, wts = _gl_panels(np.array([0.0, math.pi]), n_nodes)
         log_a = (frac * np.log(np.sin(alpha * theta))
                  + np.log(np.sin((1.0 - alpha) * theta))
                  - np.log(np.sin(theta)) / (1.0 - alpha))[:, None]
         out = np.empty(idx.size)
-        for at in _chunks(np.full(idx.size, n_nodes), _STABLE_CHUNK):
+        for at in _chunks(idx.size, n_nodes):
             # integrand rows: one theta; columns: one x
             with np.errstate(over="ignore"):
                 expo = (log_pref[idx[at]] + log_a

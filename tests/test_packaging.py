@@ -161,3 +161,37 @@ def test_every_private_definition_is_read(monkeypatch):
                             for alias in node.names)
     assert defined, "no private definition found"
     assert sorted(defined - read - probed) == []
+
+
+def _module_trees() -> dict:
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted((SRC / "fracheat").glob("*.py"))}
+
+
+def test_only_quadrature_builds_gauss_legendre_rules():
+    """``quadrature.gauss_legendre`` is the one source of Gauss-Legendre
+    rules: no other module names numpy's ``leggauss`` or scipy's
+    ``roots_legendre``."""
+    builders = {"leggauss", "roots_legendre"}
+    found = []
+    for module, tree in _module_trees().items():
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, (ast.Import, ast.ImportFrom))
+                     else [getattr(node, "attr", getattr(node, "id", None))])
+            found += [(module, name) for name in names
+                      if name and name.split(".")[-1] in builders]
+    assert [f for f in found if f[0] != "quadrature"] == []
+
+
+def test_only_quadrature_sets_a_block_size():
+    """One block rule: ``quadrature._CHUNK`` is the only module constant
+    named ``*_CHUNK`` in ``src/fracheat``."""
+    defined = sorted(
+        (module, name.id) for module, tree in _module_trees().items()
+        for node in tree.body if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+        for name in ast.walk(target)
+        if isinstance(name, ast.Name) and name.id.endswith("_CHUNK"))
+    assert defined == [("quadrature", "_CHUNK")]

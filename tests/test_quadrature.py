@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -94,6 +95,44 @@ class TestAdaptive:
         res = integrate_adaptive(lambda x: 2.0 * x + c, 0.0, span, 1e-12)
         assert_allclose(res.value, span ** 2 + c * span,
                         rtol=1e-10, atol=1e-10)
+
+    def test_point_is_batch_invariant(self):
+        """A point's value and bar are bit for bit the same alone and
+        behind 999 other points of one engine call."""
+        shift = np.linspace(-0.9, 0.9, 1000)
+
+        def runge(x, p):
+            return 1.0 / (1.0 + 25.0 * (x - shift[p]) ** 2)
+
+        ones = np.ones(1000)
+        values, errors, _ = quadrature._integrate_points(
+            runge, -ones, ones, np.arange(1000), np.full(1000, 1e-10))
+        for i in (0, 517, 999):
+            one_val, one_err, _ = quadrature._integrate_points(
+                lambda x, p: runge(x, p + i), -ones[:1], ones[:1],
+                np.zeros(1, int), np.full(1, 1e-10))
+            assert values[i] == one_val[0]
+            assert errors[i] == one_err[0]
+
+
+class TestGaussLegendre:
+    @pytest.mark.parametrize("m", [8, 16, 136, 240, 960])
+    def test_end_weights_match_extended_precision(self, m):
+        """The weights sum to 2, and the weights next to the ends, where
+        rounding of the nodes would move them most, are within 1e-11
+        relative of the rule at the exact roots."""
+        x, w = quadrature.gauss_legendre(m)
+        assert x.size == w.size == m and np.all(np.diff(x) > 0.0)
+        assert w.sum() == pytest.approx(2.0, rel=1e-14)
+        assert_array_equal(x, -x[::-1])
+        for i in (0, m - 1):
+            with mpmath.workdps(40):
+                r = mpmath.mpf(x[i])
+                for _ in range(5):
+                    p, q = mpmath.legendre(m, r), mpmath.legendre(m - 1, r)
+                    r -= p * (1 - r * r) / (m * (q - r * p))
+                exact = 2 * (1 - r * r) / (m * mpmath.legendre(m - 1, r)) ** 2
+                assert abs(w[i] / exact - 1) <= 1e-11
 
 
 class TestJacobiSingular:

@@ -415,19 +415,19 @@ def fresh_kernel_profiles():
 @pytest.mark.parametrize("n, sign", [(3, 1), (3, -1), (5, 1), (5, -1)])
 def test_oscillatory_head_batch_matches_single_points(n, sign):
     """The head of every oscillatory-side point of a request is one array;
-    points that start at different phase blocks keep their single-point
-    values and bars."""
+    points that start at different phase blocks, down to the last start
+    that leaves ``_OSC_MIN_BLOCKS`` blocks, keep their single-point values
+    and bars."""
     kernel = solver._kernel_profile(n, sign)
     weight = solver._time_profile(0.5)
-    j0 = np.array([0, 36, solver._OSC_BLOCKS, 0, 36, solver._OSC_BLOCKS])
+    last = solver._OSC_BLOCKS - solver._OSC_MIN_BLOCKS
+    j0 = np.array([0, 36, last, 0, 36, last])
     ys = kernel.osc_dir * np.array([0.4, 2.5, 7.5, 1.1, 3.0, 5.0])
     values, errors = kernel.head(ys, weight, j0)
     for i in range(ys.size):
         one_val, one_err = kernel.head(ys[i:i + 1], weight, j0[i:i + 1])
         assert values[i] == pytest.approx(one_val[0], rel=1e-14, abs=1e-300)
         assert errors[i] == pytest.approx(one_err[0], rel=1e-14, abs=1e-300)
-    last = j0 == solver._OSC_BLOCKS
-    assert np.all(values[last] == 0.0) and np.all(errors[last] > 0.0)
 
 
 @pytest.mark.parametrize("n, sign", [(n, s) for n in range(2, 9)
@@ -856,8 +856,19 @@ def test_far_field_cross_route():
 
 
 def test_deep_tail_honest_zero():
+    """Deep in the oscillatory tail, where fewer than ``_OSC_MIN_BLOCKS``
+    phase blocks remain, subordination refuses rather than guess: at
+    x = 98.4 its tail sum read 0 +- 1.3e-13, where the Fourier route reads
+    -4.9e-11 +- 6.9e-11.  The Fourier route answers zero within a bar
+    under 1e-10."""
+    for sign in (1, -1):
+        for x in (95.0, 98.4):
+            req = SolutionRequest(EquationSpec(3, sign), 0.9, 1.0,
+                                  (sign * x,))
+            with pytest.raises(ConvergenceError, match="phase blocks"):
+                solve_by("subordination", req)
     req = SolutionRequest(EquationSpec(3), 0.9, 1.0, (95.0,))
-    field = solve_by("subordination", req)
+    field = solve_by("fourier_ml", req, tol=1e-12)
     assert abs(field.values[0]) <= field.errors[0] + 1e-12
     assert field.errors[0] < 1e-10
 

@@ -531,7 +531,7 @@ class TestOneCallPerRequest:
 
     def test_memory_of_a_full_fit_stays_small(self):
         # the stable density's (points x terms) and (nodes x points)
-        # blocks come in chunks of about 1 MB
+        # blocks come in chunks of at most 16384 elements
         law, nodes = TimeChangeLaw(0.995, 1.0), profile_nodes(0.995)
         time_density_grid(law, nodes)
         tracemalloc.start()
