@@ -528,6 +528,13 @@ def _phase_point(n: int, phase):
     return (phase * n / (n - 1.0)) ** ((n - 1.0) / n) * n ** (1.0 / n)
 
 
+def _phase_edges(n: int, first: int, last: int) -> np.ndarray:
+    """Edges of the oscillatory side's phase blocks ``first`` to ``last``,
+    where block ``j`` starts at the stationary-phase angle ``(6 + j) pi``."""
+    return _phase_point(n, 6.0 * math.pi + math.pi * np.arange(first,
+                                                               last + 1.0))
+
+
 #: stationary-phase lobes summed on the oscillatory side of odd n
 _MOMENT_BLOCKS = 48
 
@@ -587,9 +594,7 @@ def kernel_moment_numeric(spec: EquationSpec, r: int, t: float,
     if n % 2 == 0:
         reach, tails, bounds = cut, 2, np.zeros(1)
     else:
-        phase0 = 6.0 * math.pi
-        bounds = _phase_point(
-            n, phase0 + math.pi * np.arange(_MOMENT_BLOCKS + 1.0))
+        bounds = _phase_edges(n, 0, _MOMENT_BLOCKS)
         reach, tails = float(bounds[-1]), 1
     log_noise = math.log(_KERNEL_NOISE)
 

@@ -171,7 +171,10 @@ def _integrate_points(f, a: np.ndarray, b: np.ndarray, pt: np.ndarray,
         return rule(np.append(a, mid), np.append(mid, b),
                     np.append(pt, pt)).reshape(2, -1).T
 
-    whole, half = rule(a, b, pt), halves(a, b, pt)
+    mid = 0.5 * (a + b)  # one call takes the first pass's whole and halves
+    first = rule(np.concatenate((a, a, mid)), np.concatenate((b, mid, b)),
+                 np.tile(pt, 3)).reshape(3, -1)
+    whole, half = first[0], first[1:].T
     while True:
         est = np.abs(half.sum(axis=1) - whole)
         err = np.bincount(pt, est, budget.size)

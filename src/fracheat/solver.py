@@ -36,6 +36,7 @@ from ._errors import (
 from .kernel import (
     EquationSpec,
     _decay_rate,
+    _phase_edges,
     _phase_point,
     kernel_density_grid,
     kernel_laplace,
@@ -92,11 +93,8 @@ _KERNEL_PHASE = 6.0
 _KERNEL_NODES = 20
 _KERNEL_FIT_TOL = 1e-13
 
-#: the oscillatory-side head: first stationary-phase angle, phase blocks,
-#: nodes per block, and the fewest blocks its tail summation takes
-_OSC_PHASE0 = 6.0 * math.pi
+#: phase blocks on the oscillatory side, and the fewest that are summed
 _OSC_BLOCKS = 72
-_OSC_NODES = 10
 _OSC_MIN_BLOCKS = 5
 
 #: subordination in v = u^(1/n): geometric panel ratio, and uniform
@@ -263,18 +261,19 @@ class _KernelProfile(_Chebyshev):
     covers every argument the subordination integral evaluates: a decaying
     side out to ``clip_abs``, where the saddle bound puts it below
     ``e^-70``, and the oscillatory side of odd ``n`` (sign ``osc_dir``, 0
-    for even ``n``) out to the last of the ``osc_edges`` that
-    :meth:`head` sums over; beyond those points it is zero.  Each fitting
-    pass takes its values from one :func:`kernel_density_grid` call;
-    ``contour_err`` is the largest error estimate of those calls.
+    for even ``n``) out to the last of the phase blocks' ``osc_edges``;
+    beyond those points it is zero.  Each fitting pass takes its values
+    from one :func:`kernel_density_grid` call; ``contour_err`` is the
+    largest error estimate of those calls.
 
     A feature narrower than the first pass's node spacing escapes
     ``fit_err``, so the profile checks its own mass, as the time profile
     does.  For odd ``n`` the oscillatory tail past the last edge carries
     real mass (0.014-0.021); it is added from as many stationary-phase
-    lobes again, on the head's rule, in one :func:`kernel_density_grid`
-    call, summed by :func:`euler_tail_sum`.  The mass must be 1 to the fit
-    and contour errors over the span plus the summation error.
+    lobes again, each a point of one :func:`_integrate_points` call within
+    the fit tolerance per unit length, summed by :func:`euler_tail_sum`.
+    The mass must be 1 to the fit and contour errors over the span plus
+    the lobes' and the summation's errors.
     """
 
     def __init__(self, n: int, k: int) -> None:
@@ -285,8 +284,7 @@ class _KernelProfile(_Chebyshev):
         self.osc_dir = self.spec.osc_dir
         lo, hi = -self.clip_abs, self.clip_abs
         if self.osc_dir:
-            self.osc_edges = _phase_point(
-                n, _OSC_PHASE0 + math.pi * np.arange(_OSC_BLOCKS + 1))
+            self.osc_edges = _phase_edges(n, 0, _OSC_BLOCKS)
             if self.osc_dir > 0:
                 hi = float(self.osc_edges[-1])
             else:
@@ -314,51 +312,27 @@ class _KernelProfile(_Chebyshev):
         mass, span = self.integral(), self.edges[-1] - self.edges[0]
         contour_err, tail_err = self.contour_err, 0.0
         if self.osc_dir:
-            # the phase blocks' nodes, with the profile taken on them once
-            self._osc_nodes, self._osc_weights = _gl_panels(self.osc_edges,
-                                                            _OSC_NODES)
-            self._osc_vals = self(self.osc_dir * self._osc_nodes)
-            tail_edges = _phase_point(n, _OSC_PHASE0 + math.pi * np.arange(
-                _OSC_BLOCKS, 2 * _OSC_BLOCKS + 1))
-            nodes, weights = _gl_panels(tail_edges, _OSC_NODES)
-            values, err, _ = kernel_density_grid(
-                self.spec, self.osc_dir * nodes, 1.0, _KERNEL_TOL)
-            tail, tail_err = euler_tail_sum(
-                (weights * values).reshape(_OSC_BLOCKS, _OSC_NODES).sum(1))
+            tail_edges = _phase_edges(n, _OSC_BLOCKS, 2 * _OSC_BLOCKS)
+
+            def lobes(ys, p):
+                nonlocal contour_err
+                values, err, _ = kernel_density_grid(
+                    self.spec, self.osc_dir * ys, 1.0, _KERNEL_TOL)
+                contour_err = max(contour_err, err)
+                return values
+
+            blocks, block_errs, _ = _integrate_points(
+                lobes, tail_edges[:-1], tail_edges[1:],
+                np.arange(_OSC_BLOCKS), _KERNEL_FIT_TOL * np.diff(tail_edges))
+            tail, tail_err = euler_tail_sum(blocks)
             mass += float(tail)
             span += tail_edges[-1] - tail_edges[0]
-            contour_err = max(contour_err, err)
+            tail_err += float(np.sum(block_errs))
         slack = (span * (max(self.fit_err, _KERNEL_FIT_TOL) + contour_err)
                  + tail_err)
         if abs(mass - 1.0) > slack:
             raise ConvergenceError(
                 f"kernel profile of n={n}, k={k} has mass {mass!r}")
-
-    def head(self, ys: np.ndarray, weight, j0: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray]:
-        """``int p_n(y, u) weight(u) du`` over ``(0, (|y| / osc_edges[j0])^n]``
-        at every oscillatory-side ``y``: in ``z = |y| u^{-1/n}``,
-        ``n |y|^{n-1} int z^{-n} phi(s z) weight((|y|/z)^n) dz`` over the
-        phase blocks from ``j0`` on (edges at stationary-phase angles
-        ``6 pi, 7 pi, ...``), summed per point by :func:`euler_tail_sum`,
-        one call per ``j0``; each ``j0`` leaves at least
-        ``_OSC_MIN_BLOCKS`` blocks."""
-        n = self.spec.n
-        ax = np.abs(ys)[:, None]
-        blocks = np.empty((ax.size, _OSC_BLOCKS))
-        for idx in _chunks(ax.size, self._osc_nodes.size):
-            a = ax[idx]
-            wv = weight(((a / self._osc_nodes) ** n).ravel())
-            contrib = (n * a ** (n - 1) * self._osc_weights
-                       * self._osc_nodes ** float(-n) * self._osc_vals
-                       * wv.reshape(a.size, -1))
-            blocks[idx] = contrib.reshape(
-                a.size, _OSC_BLOCKS, _OSC_NODES).sum(axis=2)
-        values, errors = np.empty(ax.size), np.empty(ax.size)
-        for j in np.unique(j0):
-            at = j0 == j
-            values[at], errors[at] = euler_tail_sum(blocks[at, j:])
-        return values, errors
 
 
 @lru_cache(maxsize=32)
@@ -413,7 +387,7 @@ def _survival_probability(alpha: float, u0: float) -> float:
 
 
 def _v_integral(kernel: _KernelProfile, ys: np.ndarray, v_lo: np.ndarray,
-                v_hi: float, weight, budget: np.ndarray
+                v_hi, weight, budget: np.ndarray
                 ) -> tuple[np.ndarray, np.ndarray]:
     """``int_{v_lo}^{v_hi} n v^(n-2) phi(y / v) weight(v^n) dv`` at every
     ``y``: the u-integral of ``p_n(y, u) weight(u)`` in ``v = u^(1/n)``,
@@ -421,7 +395,7 @@ def _v_integral(kernel: _KernelProfile, ys: np.ndarray, v_lo: np.ndarray,
 
     Each ``y`` is one point of :func:`_integrate_points`, within its
     ``budget``, starting from panels geometric from its ``v_lo`` and
-    uniform beyond.
+    uniform beyond up to its ``v_hi`` (one bound, or one per point).
     """
     n = kernel.spec.n
 
@@ -433,7 +407,6 @@ def _v_integral(kernel: _KernelProfile, ys: np.ndarray, v_lo: np.ndarray,
     # keeps the geometric part below v_hi.  Past 64 doublings phi(y / v)
     # is phi(0) to rounding, so that caps the geometric part.
     q, h = _V_RATIO, v_hi / _V_UNIFORM
-    v_lo = np.maximum(v_lo, np.finfo(float).tiny)
     n_geo = np.minimum(np.ceil(np.log(np.maximum(
         h / ((q - 1.0) * v_lo), 1.0)) / math.log(q)), 64.0)
     g = v_lo * q ** n_geo
@@ -460,11 +433,13 @@ def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
 
     At ``y = 0`` the kernel is exactly ``phi(0) u^{-1/n}`` and the
     singular factor goes into a Gauss-Jacobi rule.  Every other point is
-    one row of :func:`_v_integral`, from where ``phi(y / v)`` starts: the
-    saddle bound ``clip_abs`` on a decaying side; on the oscillatory side
-    of odd ``n`` a phase-block edge, below which the ``u -> 0`` end is
-    folded into the blocks of :meth:`_KernelProfile.head`, or, where fewer
-    than ``_OSC_MIN_BLOCKS`` would remain, :class:`ConvergenceError`.
+    a point of one :func:`_v_integral` call, from where ``phi(y / v)``
+    starts: the saddle bound ``clip_abs`` on a decaying side; on the
+    oscillatory side of odd ``n`` the first phase-block edge past
+    ``|y| / v_hi``.  Below it each phase block is a point of the same
+    call, within ``tol / 2`` over their number; :func:`euler_tail_sum`
+    sums them, one call per first block, and the blocks' bars add to its
+    own.  Fewer than ``_OSC_MIN_BLOCKS`` blocks raise ConvergenceError.
     """
     n = kernel.spec.n
     values, errors = np.zeros(ys.size), np.zeros(ys.size)
@@ -479,26 +454,42 @@ def _integrate_against_kernel(kernel: _KernelProfile, ys: np.ndarray,
         values[i] = res.value
         errors[i] = res.error_estimate + phi0_err * abs(res.value / phi0[0])
     v_hi = u_hi ** (1.0 / n)
-    v_lo = np.abs(ys) / kernel.clip_abs
-    osc = (ys != 0.0) & (np.sign(ys) == kernel.osc_dir)
-    if np.any(osc):
-        # the phase blocks take over at the first edge past |y| / v_hi
-        j0 = np.searchsorted(kernel.osc_edges, np.abs(ys) / v_hi)
-        far = osc & (j0 > _OSC_BLOCKS - _OSC_MIN_BLOCKS)
-        if np.any(far):
+    y_pt, lo, hi = ys, np.abs(ys) / kernel.clip_abs, np.full(ys.size, v_hi)
+    budget = np.full(ys.size, tol)
+    osc = np.flatnonzero((ys != 0.0) & (np.sign(ys) == kernel.osc_dir))
+    if osc.size:
+        j0 = np.searchsorted(kernel.osc_edges, np.abs(ys[osc]) / v_hi)
+        if np.any(j0 > _OSC_BLOCKS - _OSC_MIN_BLOCKS):
             raise ConvergenceError(
-                f"oscillatory head of n={n} at y={ys[np.argmax(far)]:g} "
-                f"has fewer than {_OSC_MIN_BLOCKS} phase blocks to sum")
-        v_lo[osc] = np.abs(ys[osc]) / kernel.osc_edges[j0[osc]]
-    body = (ys != 0.0) & (v_lo < v_hi)
-    if np.any(body):
-        values[body], errors[body] = _v_integral(
-            kernel, ys[body], v_lo[body], v_hi, weight,
-            np.where(osc, 0.5, 1.0)[body] * tol)
-    if np.any(osc):
-        head_vals, head_errs = kernel.head(ys[osc], weight, j0[osc])
-        values[osc] += head_vals
-        errors[osc] += head_errs
+                f"oscillatory side of n={n} at y={ys[osc][np.argmax(j0)]:g}"
+                f" has fewer than {_OSC_MIN_BLOCKS} phase blocks to sum")
+        # block j of a point spans |y| / osc_edges[j + 1] <= v <= |y| /
+        # osc_edges[j]; its blocks from j0 on follow the bodies as points
+        v_at = np.abs(ys[osc])[:, None] / kernel.osc_edges
+        live = np.arange(_OSC_BLOCKS) >= j0[:, None]
+        row = np.nonzero(live)[0]
+        lo[osc], budget[osc] = v_at[np.arange(osc.size), j0], 0.5 * tol
+        y_pt = np.append(ys, ys[osc][row])
+        lo = np.append(lo, v_at[:, 1:][live])
+        hi = np.append(hi, v_at[:, :-1][live])
+        budget = np.append(budget, (0.5 * tol / (_OSC_BLOCKS - j0))[row])
+    # the integrand is 0 below the smallest normal v, where y / v may overflow
+    tiny = np.finfo(float).tiny
+    lo, hi = np.maximum(lo, tiny), np.maximum(hi, tiny)
+    on = (y_pt != 0.0) & (lo < hi)
+    got, got_err = np.zeros(y_pt.size), np.zeros(y_pt.size)
+    got[on], got_err[on] = _v_integral(kernel, y_pt[on], lo[on], hi[on],
+                                       weight, budget[on])
+    values += got[:ys.size]
+    errors += got_err[:ys.size]
+    if osc.size:
+        blocks, block_errs = np.zeros(live.shape), np.zeros(live.shape)
+        blocks[live], block_errs[live] = got[ys.size:], got_err[ys.size:]
+        for j in np.unique(j0):
+            i = j0 == j
+            tail, tail_err = euler_tail_sum(blocks[i, j:])
+            values[osc[i]] += tail
+            errors[osc[i]] += tail_err + block_errs[i].sum(axis=1)
     return values, errors
 
 

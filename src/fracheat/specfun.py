@@ -158,7 +158,8 @@ def _series_condition(total: np.ndarray, max_term: np.ndarray,
     """``max|term| / |sum|`` of a summed series, inf where its closing
     terms (``live_term``, the largest over a closing window) have not
     decayed to 1e-14 of the sum or the sum is not finite."""
-    cond = max_term / np.maximum(np.abs(total), 1e-300)
+    with np.errstate(over="ignore"):  # an overflow reads inf, as it should
+        cond = max_term / np.maximum(np.abs(total), 1e-300)
     stalled = live_term > 1e-14 * (np.abs(total) + 1e-300)
     cond = np.where(stalled & np.isfinite(cond), np.inf, cond)
     return np.where(np.isfinite(total), cond, np.inf)

@@ -89,6 +89,20 @@ class TestAdaptive:
         assert base.error_estimate <= tol
         assert abs(base.value - doubled.value) <= 2.0 * tol
 
+    def test_first_pass_is_one_integrand_call(self):
+        """The whole and half rules of the starting panels share one call;
+        a cubic, exact on them, needs no other."""
+        sizes = []
+
+        def cubic(x):
+            sizes.append(x.size)
+            return x ** 3 - 2.0 * x
+
+        res = integrate_adaptive(cubic, 0.0, 2.0, 1e-12)
+        assert sizes == [3 * 8]
+        assert res.evaluations == 3 * 8
+        assert_allclose(res.value, 0.0, atol=1e-14)
+
     @given(st.floats(-3.0, 3.0), st.floats(0.1, 4.0))
     @settings(max_examples=25, deadline=None)
     def test_linear_exactness_property(self, c, span):

@@ -173,14 +173,50 @@ def test_subordination_bars_hold_at_order_two(alpha, t, x):
                                      for s in ((1, -1) if n % 2 else (1,))])
 def test_route_bars_cover_their_difference(n, sign):
     """Both routes' bars together bound the difference of their values on
-    the decaying side, the origin and the oscillatory side."""
-    xs = (-3.0, -1.0, -0.2, 0.0, 0.7, 1.9, 3.5)
-    for alpha in (0.25, 0.45, 0.62, 0.85):
+    the decaying side, the origin and the oscillatory side, out to where
+    the oscillatory side's phase blocks meet the peak of the time law
+    near alpha = 1."""
+    xs = (-30.0, -20.0, -3.0, -1.0, -0.2, 0.0, 0.7, 1.9, 3.5, 20.0, 30.0)
+    for alpha in (0.25, 0.45, 0.62, 0.85, 0.95, 0.99):
         req = SolutionRequest(EquationSpec(n, sign), alpha, 1.0, xs)
         sub = solve_by("subordination", req)
         fou = solve_by("fourier_ml", req)
         diff = np.abs(sub.values - fou.values)
         assert np.all(diff <= sub.errors + fou.errors + 1e-12), alpha
+
+
+def test_oscillatory_side_within_fourier_bars():
+    """On the oscillatory side of odd n, out to |x| = 40 and up to
+    alpha = 0.998, subordination at tol 1e-8 and 1e-12 answers within the
+    summed bars of the Fourier route at 1e-12, or refuses.  Each phase
+    block under the time law's peak is an adaptive integral with its own
+    bar; a fixed rule per block once missed by up to 5e7 bars here."""
+    ax = np.array([0.5, 2.5, 6.0, 10.0, 13.5, 16.0, 18.0, 20.0, 23.085,
+                   27.0, 33.0, 40.0])
+    for n, sign in itertools.product((3, 5, 7), (1, -1)):
+        spec = EquationSpec(n, sign)
+        xs = tuple(np.sort(spec.osc_dir * ax))
+        for alpha in (0.7, 0.85, 0.95, 0.99, 0.998):
+            req = SolutionRequest(spec, alpha, 1.0, xs)
+            fou = solve_by("fourier_ml", req, tol=1e-12)
+            for tol in (1e-8, 1e-12):
+                try:
+                    sub = solve_by("subordination", req, tol=tol)
+                except FracheatError:
+                    continue
+                diff = np.abs(sub.values - fou.values)
+                assert np.all(diff <= sub.errors + fou.errors), (
+                    n, sign, alpha, tol)
+
+
+def test_oscillatory_point_near_alpha_one_within_its_bar():
+    """n = 3, alpha = 0.97, x = 23.085 at tol 1e-12: a fixed 10-node rule
+    per phase block was off by 2.2e-6 here under a bar of 8.4e-13."""
+    req = SolutionRequest(EquationSpec(3), 0.97, 1.0, (23.085,))
+    sub = solve_by("subordination", req, tol=1e-12)
+    fou = solve_by("fourier_ml", req, tol=1e-12)
+    assert abs(sub.values[0] - fou.values[0]) <= sub.errors[0] + fou.errors[0]
+    assert sub.errors[0] < 1e-11
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -414,18 +450,26 @@ def fresh_kernel_profiles():
 
 @pytest.mark.parametrize("n, sign", [(3, 1), (3, -1), (5, 1), (5, -1)])
 def test_oscillatory_head_batch_matches_single_points(n, sign):
-    """The head of every oscillatory-side point of a request is one array;
-    points that start at different phase blocks, down to the last start
-    that leaves ``_OSC_MIN_BLOCKS`` blocks, keep their single-point values
-    and bars."""
+    """The phase blocks of every oscillatory-side point of a request are
+    points of one engine call; points that start at different phase
+    blocks, down to the last start that leaves ``_OSC_MIN_BLOCKS`` blocks,
+    keep their single-point values and bars."""
     kernel = solver._kernel_profile(n, sign)
     weight = solver._time_profile(0.5)
+    v_hi = weight.x_clip ** (1.0 / n)
     last = solver._OSC_BLOCKS - solver._OSC_MIN_BLOCKS
     j0 = np.array([0, 36, last, 0, 36, last])
-    ys = kernel.osc_dir * np.array([0.4, 2.5, 7.5, 1.1, 3.0, 5.0])
-    values, errors = kernel.head(ys, weight, j0)
+    # |y| / v_hi between edges j0 - 1 and j0 starts the blocks at j0
+    edges = np.append(0.0, kernel.osc_edges)
+    ys = kernel.osc_dir * v_hi * (edges[j0] + np.repeat([0.3, 0.7], 3)
+                                  * (edges[j0 + 1] - edges[j0]))
+    assert_array_equal(
+        np.searchsorted(kernel.osc_edges, np.abs(ys) / v_hi), j0)
+    values, errors = solver._integrate_against_kernel(
+        kernel, ys, weight, weight.x_clip, 1e-10)
     for i in range(ys.size):
-        one_val, one_err = kernel.head(ys[i:i + 1], weight, j0[i:i + 1])
+        one_val, one_err = solver._integrate_against_kernel(
+            kernel, ys[i:i + 1], weight, weight.x_clip, 1e-10)
         assert values[i] == pytest.approx(one_val[0], rel=1e-14, abs=1e-300)
         assert errors[i] == pytest.approx(one_err[0], rel=1e-14, abs=1e-300)
 
